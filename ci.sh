@@ -27,6 +27,13 @@ done
 go build ./...
 go test -race ./...
 
+# Serving stress leg: the session-lifecycle tests repeated in shuffled
+# order under the race detector, so a reintroduced ordering race
+# between a session's terminal reply and the server's bookkeeping
+# (slot release, Served(), sessions_active) fails here rather than
+# intermittently later.
+go test -race -count=20 -shuffle=on ./internal/serve ./internal/router .
+
 # Server smoke test: train a tiny model, start asrserve on a random
 # port, stream the test set through asrload (both race-built), then
 # SIGTERM and require a clean drain (exit 0). Pins the binaries'
@@ -352,26 +359,20 @@ echo "router smoke test ok (router $raddr -> $addr1, $addr2; hot-swap clean)"
 # Corpus-scale serving bench: replay a tiny mixed-profile corpus
 # open-loop up a rate ladder tall enough to cross the saturation knee
 # on any plausible machine (race-built, so capacity is ~10x below a
-# plain build), then autotune the batcher knobs at the knee. Distils
-# BENCH_serve.json (docs/BENCHMARKING.md has the field reference) and
-# enforces the fleet-level floors: the knee must actually be found,
-# sustained throughput must clear a conservative floor, and the tuned
-# p99 must not exceed the measured default p99 (an invariant of the
-# autotuner's argmin-over-trials-including-the-default, so this gate
-# is robust to wall-clock noise).
+# plain build). Distils BENCH_serve.json (docs/BENCHMARKING.md has the
+# field reference) and enforces the fleet-level floors: the knee must
+# actually be found and sustained throughput must clear a
+# conservative floor.
 "$smoke"/asrbench -scale tiny -model "$smoke/models/tiny-prune90.model" \
 	-utts 48 -rates 6,12,24,48,96,192,384,768 -slo 500ms \
-	-autotune -json BENCH_serve.json >"$smoke/bench_serve.out"
-tail -n 6 "$smoke/bench_serve.out"
+	-json BENCH_serve.json >"$smoke/bench_serve.out"
+tail -n 3 "$smoke/bench_serve.out"
 awk -F': *' '
 	/"found":/                    { found = ($2 ~ /true/) }
 	/"sustained_frames_per_sec":/ { gsub(/,/, "", $2); sfs = $2 + 0 }
-	/"default_p99_ms":/           { gsub(/,/, "", $2); dp = $2 + 0 }
-	/"tuned_p99_ms":/             { gsub(/,/, "", $2); tp = $2 + 0 }
 	END {
 		if (!found) { print "saturation knee not crossed: raise the -rates ladder" > "/dev/stderr"; exit 1 }
 		if (sfs < 400) { printf "sustained throughput %.0f frames/s under the 400 floor\n", sfs > "/dev/stderr"; exit 1 }
-		if (dp <= 0 || tp <= 0 || tp > dp) { printf "autotune gate failed: tuned p99 %.1fms vs default %.1fms\n", tp, dp > "/dev/stderr"; exit 1 }
-		printf "BENCH_serve.json: knee %.0f frames/s sustained, tuned p99 %.1fms <= default %.1fms\n", sfs, tp, dp
+		printf "BENCH_serve.json: knee %.0f frames/s sustained\n", sfs
 	}' BENCH_serve.json ||
 	{ echo "serving bench gate failed (see BENCH_serve.json)" >&2; exit 1; }

@@ -4,10 +4,8 @@
 // wide-vocab, long-utt), replays it open-loop against asrserve on a
 // seeded Poisson arrival schedule at each rung of a rate ladder,
 // locates the saturation knee — the highest arrival rate whose p99
-// session latency still meets -slo with no failed sessions — and,
-// with -autotune, searches the serve batcher's max-batch and
-// flush-window knobs for the operating point with the lowest measured
-// p99 at the knee. internal/bench implements the harness;
+// session latency still meets -slo with no failed sessions.
+// internal/bench implements the harness;
 // docs/BENCHMARKING.md is the normative description and the
 // BENCH_serve.json field reference.
 //
@@ -17,29 +15,22 @@
 //	         [-utts 512] [-mix baseline=4,noisy=2,wide-vocab=1,long-utt=1]
 //	         [-seed 1] [-sched-seed 1] [-rates 20,40,80,160]
 //	         [-per-rate 0] [-slo 500ms] [-beam 15]
-//	         [-max-sessions 64] [-autotune] [-json BENCH_serve.json] [-v]
+//	         [-max-sessions 64] [-json BENCH_serve.json] [-v]
 //	asrbench -addr localhost:8093 [-variant name] ...
 //
-// With -model the server under test runs in-process (one fresh
-// instance per measurement, listening on a loopback port), which is
-// what allows -autotune to restart it with different batcher knobs.
-// With -addr the ladder replays against an already-running asrserve
-// or asrrouter endpoint instead; -autotune is unavailable there
-// because the harness cannot restart a remote server.
+// With -model the server under test runs in-process, listening on a
+// loopback port. With -addr the ladder replays against an
+// already-running asrserve or asrrouter endpoint instead.
 //
 // The corpus content, profile mix, and arrival schedules are
 // bit-reproducible from -seed/-sched-seed; wall-clock latencies are
 // not. The text report goes to stdout; -json additionally writes the
-// BENCH_serve.json document, whose flattened gate fields
-// (sustained_frames_per_sec, tuned_p99_ms <= default_p99_ms) ci.sh
-// enforces as the fleet-level acceptance floor. After -autotune the
-// report includes a manifest "serve" block ready to paste into a
-// model manifest so asrserve starts at the tuned operating point
-// (docs/SERVING.md).
+// BENCH_serve.json document, whose flattened gate field
+// (sustained_frames_per_sec) ci.sh enforces as the fleet-level
+// acceptance floor.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +55,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("asrbench: ")
 	scaleName := flag.String("scale", "small", "tiny, small or paper (must match the model)")
-	modelPath := flag.String("model", "", "model file written by asrtrain (in-process mode; required for -autotune)")
+	modelPath := flag.String("model", "", "model file written by asrtrain (in-process mode)")
 	addr := flag.String("addr", "", "replay against this running asrserve/asrrouter instead of in-process")
 	variant := flag.String("variant", "", "server model variant to decode under (empty = server default)")
 	utts := flag.Int("utts", 512, "corpus size in utterances")
@@ -76,16 +67,12 @@ func main() {
 	slo := flag.Duration("slo", 500*time.Millisecond, "p99 session-latency objective a rung must meet to count as sustained")
 	beam := flag.Float64("beam", asr.DefaultBeam, "decode beam width in -log space")
 	maxSessions := flag.Int("max-sessions", 64, "in-process server's concurrent session cap")
-	autotune := flag.Bool("autotune", false, "search the batcher's max-batch/flush-window knobs at the knee")
 	jsonPath := flag.String("json", "", "also write the BENCH_serve.json report here")
-	verbose := flag.Bool("v", false, "stream per-rung and per-trial progress to stderr")
+	verbose := flag.Bool("v", false, "stream per-rung progress to stderr")
 	flag.Parse()
 
 	if (*modelPath == "") == (*addr == "") {
 		log.Fatal("exactly one of -model (in-process) or -addr (external) is required")
-	}
-	if *autotune && *modelPath == "" {
-		log.Fatal("-autotune needs -model: the harness must restart the server with candidate knobs")
 	}
 	var scale asr.Scale
 	switch *scaleName {
@@ -143,13 +130,12 @@ func main() {
 		}
 	}
 
-	// Rate ladder: one server at the static default knobs for every
-	// rung, so the ladder measures a single configuration's whole
-	// latency-vs-load curve.
+	// Rate ladder: one server for every rung, so the ladder measures a
+	// single configuration's whole latency-vs-load curve.
 	sweep := func() ([]*bench.RunStats, bench.Saturation, error) {
 		o := opts
 		if harness != nil {
-			laddr, stop, err := harness.Start(0, 0)
+			laddr, stop, err := harness.Start()
 			if err != nil {
 				return nil, bench.Saturation{}, err
 			}
@@ -174,33 +160,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *autotune {
-		// Tune at the knee (or the top rung when the ladder never
-		// crossed it) — the operating region where batching choices
-		// actually move the tail.
-		rate := report.Saturation.RateSessionsPerSec
-		if rate <= 0 {
-			rate = rates[len(rates)-1]
-		}
-		res, err := bench.Autotune(corpus, bench.AutotuneConfig{
-			Rate: rate, PerRate: *perRate, ScheduleSeed: *schedSeed,
-			Defaults: bench.Knobs{MaxBatch: *maxSessions, WindowMS: 1},
-			Opts:     opts, Progress: progress,
-		}, harness.Start)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report.Autotune = res
-	}
-
 	report.WriteText(os.Stdout)
-	if report.Autotune != nil {
-		block, _ := json.Marshal(registry.ServeDefaults{
-			MaxBatch:      report.Autotune.Tuned.Knobs.MaxBatch,
-			BatchWindowMS: report.Autotune.Tuned.Knobs.WindowMS,
-		})
-		fmt.Printf("manifest serve block: {\"serve\": %s}\n", block)
-	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
@@ -218,8 +178,7 @@ func main() {
 
 // buildHarness assembles the in-process server-under-test template:
 // the model registered as the sole variant, the scale's regenerated
-// decode graph, and the admission limits — everything but the batcher
-// knobs, which each measurement supplies.
+// decode graph, and the admission limits.
 func buildHarness(scale asr.Scale, modelPath string, beam float64, maxSessions int) (*bench.Harness, error) {
 	net, err := dnn.LoadFile(modelPath)
 	if err != nil {

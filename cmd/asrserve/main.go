@@ -1,9 +1,9 @@
 // Command asrserve runs the streaming ASR decode service: it loads
 // one model (-model) or a multi-model manifest (-manifest) of named
 // (model, backend) variants, regenerates the matching world's decode
-// graph, and serves streaming decode sessions over TCP with per-model
-// cross-session DNN batching, bounded admission, per-request
-// deadlines, zero-downtime weight hot-swap on SIGHUP, and graceful
+// graph, and serves streaming decode sessions over TCP — each session
+// scored and decoded on its own goroutine — with bounded admission,
+// bounded request lines, per-request deadlines, zero-downtime weight hot-swap on SIGHUP, and graceful
 // drain on SIGTERM/SIGINT (in-flight sessions finish, then the
 // process exits 0).
 //
@@ -13,8 +13,7 @@
 //	asrserve -manifest models/manifest.json    [-scale small]
 //	         [-addr localhost:8093] [-store unbounded|nbest|accurate]
 //	         [-beam 15] [-n 0] [-backend auto|dense|sparse|bsr|int8]
-//	         [-batch-window 1ms] [-max-batch 0]
-//	         [-max-sessions 64] [-queue 0] [-idle-timeout 30s]
+//	         [-max-sessions 64] [-idle-timeout 30s]
 //	         [-deadline 2m] [-drain-timeout 30s]
 //	         [-metrics-addr localhost:9090] [-v]
 //
@@ -22,13 +21,9 @@
 // "default"; -backend selects its scoring kernels (auto picks CSR
 // sparse for pruned layers). With -manifest each variant carries its
 // own name, model file, and backend (docs/SERVING.md has the format);
-// clients select one with the handshake's model field. A manifest may
-// also carry a "serve" block holding the batcher operating point
-// cmd/asrbench -autotune measured for the model set (max_batch,
-// batch_window_ms); it is applied unless -max-batch/-batch-window are
-// set explicitly. Transcripts
-// are bit-identical across backends and batching, only forward-pass
-// latency changes.
+// clients select one with the handshake's model field. Transcripts are
+// bit-identical across the float backends; only forward-pass latency
+// changes.
 //
 // A session's handshake may carry a "control" object to decode that
 // session under the adaptive beam controller (internal/control): the
@@ -45,12 +40,12 @@
 // A failed reload logs and keeps the old weights — the service never
 // stops serving.
 //
-// The wire protocol, manifest format, batching semantics, and
-// backpressure contract are documented in docs/SERVING.md;
+// The wire protocol, manifest format, and backpressure contract are
+// documented in docs/SERVING.md;
 // cmd/asrrouter shards sessions across several asrserve processes and
 // cmd/asrload is the load generator. Transcripts are bit-identical to
-// asrdecode on the same model — batching and concurrency never change
-// decode output. -addr with port 0 picks a free port; the resolved
+// asrdecode on the same model — concurrency never changes decode
+// output. -addr with port 0 picks a free port; the resolved
 // address is printed as "listening on HOST:PORT" (the line ci.sh's
 // smoke test parses).
 package main
@@ -86,10 +81,7 @@ func main() {
 	beam := flag.Float64("beam", asr.DefaultBeam, "beam width in -log space")
 	n := flag.Int("n", 0, "N-best bound for -store nbest/accurate (0 = scale default)")
 	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels for -model: auto, dense, sparse, bsr or int8")
-	batchWindow := flag.Duration("batch-window", time.Millisecond, "cross-session batching window (negative = opportunistic only)")
-	maxBatch := flag.Int("max-batch", 0, "max frames per batched forward pass (0 = max-sessions)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap; excess starts are rejected")
-	queue := flag.Int("queue", 0, "batcher queue depth in frames (0 = 4*max-sessions)")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "abort a session after this long without a client message")
 	deadline := flag.Duration("deadline", 2*time.Minute, "default per-session deadline (clients may set their own)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight sessions on shutdown")
@@ -117,23 +109,9 @@ func main() {
 		log.Fatalf("unknown scale %q", *scaleName)
 	}
 
-	reg, manifest, err := buildRegistry(*modelPath, *manifestPath, *backendFlag)
+	reg, err := buildRegistry(*modelPath, *manifestPath, *backendFlag)
 	if err != nil {
 		log.Fatal(err)
-	}
-	// The manifest's serve block carries the batcher operating point
-	// asrbench -autotune measured for this model set; explicit flags
-	// still win.
-	if manifest != nil && manifest.Serve != nil {
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if manifest.Serve.MaxBatch > 0 && !explicit["max-batch"] {
-			*maxBatch = manifest.Serve.MaxBatch
-		}
-		if manifest.Serve.BatchWindowMS != 0 && !explicit["batch-window"] {
-			*batchWindow = manifest.Serve.Window()
-		}
-		log.Printf("manifest serve defaults: max-batch %d, batch-window %v", *maxBatch, *batchWindow)
 	}
 	world, err := speech.NewWorld(scale.World)
 	if err != nil {
@@ -153,9 +131,6 @@ func main() {
 		Decoder:         decoder.New(wfst.Compile(world)),
 		Decode:          decoder.Config{Beam: *beam, AcousticScale: 1, NewStore: factory},
 		MaxSessions:     *maxSessions,
-		QueueDepth:      *queue,
-		BatchWindow:     *batchWindow,
-		MaxBatch:        *maxBatch,
 		IdleTimeout:     *idleTimeout,
 		DefaultDeadline: *deadline,
 	})
@@ -167,8 +142,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("listening on %s\n", bound)
-	log.Printf("%d variant(s), default %q, store %s, beam %.1f, %d session slots, batch window %v",
-		reg.Len(), reg.Default(), *storeKind, *beam, *maxSessions, *batchWindow)
+	log.Printf("%d variant(s), default %q, store %s, beam %.1f, %d session slots",
+		reg.Len(), reg.Default(), *storeKind, *beam, *maxSessions)
 	for _, name := range reg.Names() {
 		v, _ := reg.Resolve(name)
 		log.Printf("variant %q (backend %s): %s", name, v.Backend(), v.Plan().Describe())
@@ -214,28 +189,26 @@ func main() {
 }
 
 // buildRegistry assembles the model registry from either a single
-// -model file (one variant named "default") or a -manifest, returning
-// the parsed manifest too so main can apply its serve defaults.
-func buildRegistry(modelPath, manifestPath, backendFlag string) (*registry.Registry, *registry.Manifest, error) {
+// -model file (one variant named "default") or a -manifest.
+func buildRegistry(modelPath, manifestPath, backendFlag string) (*registry.Registry, error) {
 	if manifestPath != "" {
 		m, err := registry.LoadManifest(manifestPath)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		reg, err := m.Build()
-		return reg, m, err
+		return m.Build()
 	}
 	backend, err := dnn.ParseBackend(backendFlag)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	net, err := dnn.LoadFile(modelPath)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	reg := registry.New()
 	if _, err := reg.Register("default", modelPath, net, backend); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return reg, nil, nil
+	return reg, nil
 }

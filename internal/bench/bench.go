@@ -5,10 +5,9 @@
 // (BENCH_dnn.json, BENCH_decode.json) prove the kernels and the
 // decoder hot path; this package answers the fleet-level question they
 // cannot: how many frames per second per core does the service
-// sustain before the tail latency blows past an SLO, and how should
-// the cross-session batcher's knobs be set to get there?
+// sustain before the tail latency blows past an SLO?
 //
-// The harness has four deterministic layers:
+// The harness has three deterministic layers:
 //
 //   - Corpus (corpus.go): a large multi-speaker utterance set drawn
 //     from mixed scenario profiles — baseline, noisy, wide-vocab,
@@ -24,14 +23,10 @@
 //     walk a rate ladder to locate the saturation knee — the highest
 //     rate whose p99 session latency still meets the SLO with no
 //     failed sessions.
-//   - Autotune (autotune.go): a deterministic coordinate search over
-//     the serve batcher's MaxBatch and flush-window knobs against the
-//     measured p99 at a reference rate, replacing the static guesses.
 //
 // Wall-clock latencies are inherently noisy; everything else — the
 // corpus, the schedule, the utterance→profile assignment, the frame
-// counts, the WER of the returned transcripts, and the search order of
-// the autotuner — is bit-reproducible from the seeds, and the
+// counts, and the WER of the returned transcripts — is bit-reproducible from the seeds, and the
 // determinism tests pin exactly that split. cmd/asrbench is the CLI;
 // docs/BENCHMARKING.md is the normative description and the
 // BENCH_serve.json field reference; ci.sh distils a tiny run into the

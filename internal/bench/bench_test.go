@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -175,20 +174,5 @@ func TestSummarizeLatency(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestKnobsWindow(t *testing.T) {
-	if w := (Knobs{WindowMS: -1}).Window(); w >= 0 {
-		t.Fatalf("negative WindowMS gave window %v, want negative (opportunistic)", w)
-	}
-	if w := (Knobs{WindowMS: 2}).Window(); w != 2*time.Millisecond {
-		t.Fatalf("WindowMS 2 gave %v, want 2ms", w)
-	}
-	if got := windowMS(-5 * time.Millisecond); got != -1 {
-		t.Fatalf("windowMS(-5ms) = %v, want -1", got)
-	}
-	if got := windowMS(1500 * time.Microsecond); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("windowMS(1.5ms) = %v, want 1.5", got)
 	}
 }

@@ -8,29 +8,21 @@ import (
 	"repro/internal/serve"
 )
 
-// Harness runs the server under test in-process, one instance per
-// trial, so the autotuner can restart it with different batcher knobs
-// without shelling out. The Template carries everything but the knobs
-// (registry, decoder, admission limits); each Start copies it, so the
-// compiled plans and the decode graph are shared read-only across
-// restarts and only the batchers differ.
+// Harness runs the server under test in-process on a loopback port.
+// The Template carries its whole configuration (registry, decoder,
+// admission limits); each Start copies it, so the compiled plans and
+// the decode graph are shared read-only across restarts.
 type Harness struct {
 	Template serve.Config
 	// DrainTimeout bounds each stop's graceful drain (default 30s).
 	DrainTimeout time.Duration
 }
 
-// Start launches one server with the template's configuration and the
-// given batcher knobs (maxBatch <= 0 keeps the template's) on a free
-// port, returning the bound address and a stop function that drains
-// it and reports any serve/drain failure. Start is a bench.ServerFactory.
-func (h *Harness) Start(maxBatch int, window time.Duration) (string, func() error, error) {
-	cfg := h.Template
-	if maxBatch > 0 {
-		cfg.MaxBatch = maxBatch
-	}
-	cfg.BatchWindow = window
-	srv, err := serve.New(cfg)
+// Start launches one server with the template's configuration on a
+// free port, returning the bound address and a stop function that
+// drains it and reports any serve/drain failure.
+func (h *Harness) Start() (string, func() error, error) {
+	srv, err := serve.New(h.Template)
 	if err != nil {
 		return "", nil, err
 	}

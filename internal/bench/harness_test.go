@@ -43,7 +43,7 @@ func serveFixture(t *testing.T, utts int) (*Corpus, *Harness) {
 
 func TestReplayAgainstServer(t *testing.T) {
 	c, h := serveFixture(t, 12)
-	addr, stop, err := h.Start(0, 0)
+	addr, stop, err := h.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestReplayAgainstServer(t *testing.T) {
 // latency numbers themselves are wall-clock and may differ.)
 func TestSweepDeterministicFields(t *testing.T) {
 	c, h := serveFixture(t, 10)
-	addr, stop, err := h.Start(0, 0)
+	addr, stop, err := h.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,58 +130,11 @@ func TestSweepDeterministicFields(t *testing.T) {
 	}
 }
 
-// TestAutotune runs the coordinate search end to end on shrunken axes
-// and checks the structural guarantees: the default operating point is
-// trial zero, the tuned point's measured p99 never exceeds the
-// default's (the ci.sh gate), no candidate is measured twice, and the
-// tuned knobs came from the candidate axes.
-func TestAutotune(t *testing.T) {
-	c, h := serveFixture(t, 8)
-	cfg := AutotuneConfig{
-		Rate:         300,
-		ScheduleSeed: 5,
-		Defaults:     Knobs{MaxBatch: 64, WindowMS: 1},
-		Windows:      []time.Duration{-time.Millisecond, time.Millisecond},
-		Batches:      []int{4},
-	}
-	res, err := Autotune(c, cfg, h.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials[0].Knobs != cfg.Defaults {
-		t.Fatalf("trial zero is %+v, want the defaults %+v", res.Trials[0].Knobs, cfg.Defaults)
-	}
-	if res.Default.Knobs != cfg.Defaults {
-		t.Fatalf("Default records %+v, want %+v", res.Default.Knobs, cfg.Defaults)
-	}
-	// Defaults + {windowless} (1ms dedups against defaults) + {batch 4}.
-	if len(res.Trials) != 3 {
-		t.Fatalf("ran %d trials, want 3 (dedup should skip repeats)", len(res.Trials))
-	}
-	seen := map[Knobs]bool{}
-	for _, tr := range res.Trials {
-		if seen[tr.Knobs] {
-			t.Fatalf("candidate %+v measured twice", tr.Knobs)
-		}
-		seen[tr.Knobs] = true
-		if tr.Stats.Failed != 0 {
-			t.Errorf("trial %+v failed %d sessions: %s", tr.Knobs, tr.Stats.Failed, tr.Stats.FirstErr)
-		}
-	}
-	if res.Tuned.Stats.Session.P99MS > res.Default.Stats.Session.P99MS {
-		t.Fatalf("tuned p99 %.3fms > default p99 %.3fms — argmin must include the default",
-			res.Tuned.Stats.Session.P99MS, res.Default.Stats.Session.P99MS)
-	}
-	if !seen[res.Tuned.Knobs] {
-		t.Fatalf("tuned knobs %+v not among the measured trials", res.Tuned.Knobs)
-	}
-}
-
 // TestReportRoundTrip exercises Finalize and both writers on a real
 // (tiny) sweep so the BENCH_serve.json shape stays wired up.
 func TestReportRoundTrip(t *testing.T) {
 	c, h := serveFixture(t, 6)
-	addr, stop, err := h.Start(0, 0)
+	addr, stop, err := h.Start()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ type RunStats struct {
 	// Session is the dial→final-result latency distribution; Frame is
 	// the same distribution normalized per decoded frame (session
 	// latency / frames), the per-frame service cost a streaming client
-	// experiences including batching, queueing, and backpressure.
+	// experiences including admission, wire, and backpressure.
 	Session Latency `json:"session"`
 	Frame   Latency `json:"frame"`
 

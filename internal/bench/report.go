@@ -28,15 +28,11 @@ func (c *Corpus) Info() CorpusInfo {
 	}
 }
 
-// Report is the BENCH_serve.json document: the rate ladder, the
-// saturation knee, and (when autotuning ran) the tuned-vs-default
-// batcher operating points. The flat gate fields at the top level
-// exist so ci.sh can enforce the fleet-level floors with a line
-// parser: sustained_frames_per_sec (and /core) is the knee rung's
-// measured throughput, and tuned_p99_ms <= default_p99_ms is the
-// autotune acceptance gate (true by construction — the tuned point is
-// the argmin over a trial set that includes the default).
-// docs/BENCHMARKING.md is the field reference.
+// Report is the BENCH_serve.json document: the rate ladder and the
+// saturation knee. The flat gate fields at the top level exist so
+// ci.sh can enforce the fleet-level floor with a line parser:
+// sustained_frames_per_sec (and /core) is the knee rung's measured
+// throughput. docs/BENCHMARKING.md is the field reference.
 type Report struct {
 	Scale        string     `json:"scale"`
 	GOMAXPROCS   int        `json:"gomaxprocs"`
@@ -45,25 +41,18 @@ type Report struct {
 	SLOMS        float64    `json:"slo_ms"`
 	PerRate      int        `json:"utts_per_rate"`
 
-	Ladder     []*RunStats     `json:"ladder"`
-	Saturation Saturation      `json:"saturation"`
-	Autotune   *AutotuneResult `json:"autotune,omitempty"`
+	Ladder     []*RunStats `json:"ladder"`
+	Saturation Saturation  `json:"saturation"`
 
 	// Flat gate fields, derived by Finalize.
 	SustainedFramesPerSec        float64 `json:"sustained_frames_per_sec"`
 	SustainedFramesPerSecPerCore float64 `json:"sustained_frames_per_sec_per_core"`
-	DefaultP99MS                 float64 `json:"default_p99_ms,omitempty"`
-	TunedP99MS                   float64 `json:"tuned_p99_ms,omitempty"`
 }
 
 // Finalize derives the flat gate fields from the structured results.
 func (r *Report) Finalize() {
 	r.SustainedFramesPerSec = r.Saturation.FramesPerSec
 	r.SustainedFramesPerSecPerCore = r.Saturation.FramesPerSecPerCore
-	if r.Autotune != nil {
-		r.DefaultP99MS = r.Autotune.Default.Stats.Session.P99MS
-		r.TunedP99MS = r.Autotune.Tuned.Stats.Session.P99MS
-	}
 }
 
 // WriteJSON emits the report as indented JSON (the BENCH_serve.json
@@ -107,11 +96,5 @@ func (r *Report) WriteText(w io.Writer) {
 			r.Saturation.RateSessionsPerSec, r.Saturation.FramesPerSec)
 	default:
 		fmt.Fprintf(w, "no rung sustained the SLO — lower the ladder or relax -slo\n")
-	}
-	if r.Autotune != nil {
-		fmt.Fprintf(w, "autotune (%d trials at %.1f sessions/s):\n",
-			len(r.Autotune.Trials), r.Autotune.Default.Stats.RateSessionsPerSec)
-		fmt.Fprintf(w, "  default %-26s p99 %7.1fms\n", r.Autotune.Default.Knobs, r.DefaultP99MS)
-		fmt.Fprintf(w, "  tuned   %-26s p99 %7.1fms\n", r.Autotune.Tuned.Knobs, r.TunedP99MS)
 	}
 }

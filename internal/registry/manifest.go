@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/dnn"
 )
@@ -32,36 +31,12 @@ type VariantSpec struct {
 //	}
 //
 // Relative model paths are resolved against the manifest file's own
-// directory, so a manifest can ship next to its models.
+// directory, so a manifest can ship next to its models. Unknown fields
+// are ignored, so a manifest still loads if it carries the "serve"
+// block of batcher settings older servers read.
 type Manifest struct {
 	Default  string        `json:"default,omitempty"`
 	Variants []VariantSpec `json:"variants"`
-	// Serve carries tuned batcher knobs for this model set (usually
-	// distilled by cmd/asrbench -autotune); asrserve applies them when
-	// the matching flags are left at their defaults.
-	Serve *ServeDefaults `json:"serve,omitempty"`
-}
-
-// ServeDefaults is the manifest's serve block: the batcher operating
-// point measured best for this model set. Zero fields are "no
-// opinion" — asrserve keeps its flag defaults. BatchWindowMS < 0
-// selects the opportunistic windowless batcher.
-type ServeDefaults struct {
-	MaxBatch      int     `json:"max_batch,omitempty"`
-	BatchWindowMS float64 `json:"batch_window_ms,omitempty"`
-}
-
-// Window converts BatchWindowMS to the serve.Config encoding: zero
-// (unset) stays zero so serve applies its own default, negative maps
-// to the opportunistic sentinel.
-func (s ServeDefaults) Window() time.Duration {
-	switch {
-	case s.BatchWindowMS < 0:
-		return -time.Millisecond
-	case s.BatchWindowMS == 0:
-		return 0
-	}
-	return time.Duration(s.BatchWindowMS * float64(time.Millisecond))
 }
 
 // LoadManifest parses the manifest at path and resolves relative
@@ -113,9 +88,6 @@ func (m *Manifest) validate() error {
 	}
 	if !hasDefault {
 		return fmt.Errorf("default %q is not among the variants", m.Default)
-	}
-	if m.Serve != nil && m.Serve.MaxBatch < 0 {
-		return fmt.Errorf("serve.max_batch %d must not be negative", m.Serve.MaxBatch)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dnn"
 	"repro/internal/mat"
@@ -281,55 +280,32 @@ func TestManifestValidation(t *testing.T) {
 	}
 }
 
+// TestManifestServeDefaults pins that a manifest written for servers
+// that read a "serve" block of batcher settings still loads and
+// builds: the block is ignored like any other unknown field, even
+// with values those servers rejected.
 func TestManifestServeDefaults(t *testing.T) {
 	dir := t.TempDir()
 	if err := testNet(t, 1).SaveFile(filepath.Join(dir, "a.model")); err != nil {
 		t.Fatal(err)
 	}
-	write := func(body string) string {
-		t.Helper()
-		p := filepath.Join(dir, "m.json")
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	m, err := LoadManifest(write(`{
+	p := filepath.Join(dir, "m.json")
+	body := `{
   "variants": [{"name": "a", "model": "a.model"}],
-  "serve": {"max_batch": 8, "batch_window_ms": 0.5}
-}`))
+  "serve": {"max_batch": -2, "batch_window_ms": 0.5}
+}`
+	if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadManifest(p)
+	if err != nil {
+		t.Fatalf("manifest with a serve block: %v", err)
+	}
+	reg, err := m.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Serve == nil || m.Serve.MaxBatch != 8 {
-		t.Fatalf("serve block = %+v, want max_batch 8", m.Serve)
-	}
-	if got := m.Serve.Window(); got != 500*time.Microsecond {
-		t.Errorf("Window() = %v, want 500µs", got)
-	}
-
-	// Window encoding: negative means opportunistic, zero means unset.
-	if got := (ServeDefaults{BatchWindowMS: -1}).Window(); got >= 0 {
-		t.Errorf("negative batch_window_ms gave %v, want negative sentinel", got)
-	}
-	if got := (ServeDefaults{}).Window(); got != 0 {
-		t.Errorf("unset batch_window_ms gave %v, want 0", got)
-	}
-
-	// A manifest with no serve block stays nil (no opinion).
-	m2, err := LoadManifest(write(`{"variants": [{"name": "a", "model": "a.model"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Serve != nil {
-		t.Errorf("absent serve block parsed as %+v, want nil", m2.Serve)
-	}
-
-	if _, err := LoadManifest(write(`{
-  "variants": [{"name": "a", "model": "a.model"}],
-  "serve": {"max_batch": -2}
-}`)); err == nil || !strings.Contains(err.Error(), "max_batch") {
-		t.Errorf("negative max_batch: err = %v, want max_batch error", err)
+	if got := reg.Names(); len(got) != 1 || got[0] != "a" {
+		t.Errorf("variants %v, want [a]", got)
 	}
 }

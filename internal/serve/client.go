@@ -67,6 +67,7 @@ type ClientSession struct {
 	bw    *bufio.Writer
 	enc   *json.Encoder
 	dec   *json.Decoder
+	line  []byte // PushFrame's encoded frame, reused
 	model string // resolved variant name from the ready reply
 }
 
@@ -127,11 +128,22 @@ func Dial(addr string, opts SessionOptions) (*ClientSession, error) {
 	}
 }
 
-// PushFrame streams one spliced feature vector. Replies (partials,
-// errors) are not read here — the stream stays write-only until
-// Finish, so frames pipeline without a per-frame round trip.
+// PushFrame streams one spliced feature vector, one write per frame.
+// Replies (partials, errors) are not read here — the stream stays
+// write-only until Finish, so frames pipeline without a per-frame
+// round trip. The line is encoded without reflection into a reused
+// buffer, byte for byte what encoding/json would write; a NaN or ±Inf
+// feature is an error and nothing is sent.
 func (cs *ClientSession) PushFrame(frame []float64) error {
-	return cs.send(Request{Op: OpFrame, Data: frame})
+	line, err := appendFrame(cs.line[:0], frame)
+	if err != nil {
+		return err
+	}
+	cs.line = line
+	// Straight to the socket: send flushes bw after every message, so
+	// nothing buffered can be overtaken.
+	_, err = cs.conn.Write(line)
+	return err
 }
 
 // Finish ends the session and reads replies until the final result,

@@ -6,37 +6,49 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
 
 	"repro/internal/control"
-	"repro/internal/decoder"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
+
+// maxStartLine caps the start line, read before admission: a handshake
+// is a few short strings and numbers, so anything longer is refused
+// before it can cost memory.
+const maxStartLine = 4 << 10
+
+// frameLineCap caps every line after admission. It is derived from the
+// pinned plan's input width: the canonical encoding spends at most 25
+// bytes and a comma per feature, so 32 per feature plus slack for the
+// envelope and for other JSON encoders' spacing never refuses a frame
+// a client can honestly send.
+func frameLineCap(inDim int) int { return 1<<10 + 32*inDim }
+
+// errLineTooLong ends a session whose next line exceeds its cap.
+var errLineTooLong = errors.New("request line too long")
 
 // session is the per-connection state of one streaming decode.
 type session struct {
 	srv  *Server
 	conn net.Conn
-	dec  *json.Decoder
+	br   *bufio.Reader
 	bw   *bufio.Writer
 	enc  *json.Encoder
 
-	// Pinned at admission: the model variant's compiled plan and its
-	// batcher. The pin outlives hot-swaps — this session keeps scoring
-	// against exactly these weights until it ends.
-	pb       *planBatcher
+	// Pinned at admission: the model variant and, through p.exec, the
+	// compiled plan that was current then. The pin outlives hot-swaps —
+	// this session keeps scoring against exactly these weights until it
+	// ends.
+	variant  *registry.Variant
+	p        *pooled
 	inDim    int
-	outDim   int
+	lineCap  int
 	frameCtr *obs.Counter // per-model frame counter child
-
-	// dcfg is the server's decode configuration plus this session's
-	// adaptive controller, if the handshake requested one.
-	dcfg decoder.Config
-
-	ctx    context.Context
-	cancel context.CancelFunc
+	deadline time.Time    // session deadline; zero before admission
 }
 
 // handle runs one connection: admission, then the start/frame/finish
@@ -49,15 +61,26 @@ func (s *Server) handle(conn net.Conn) {
 	c := &session{
 		srv:  s,
 		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
+		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
 	}
 	c.enc = json.NewEncoder(c.bw)
 
 	// The start message is read under the idle timeout so a dialed-
 	// but-silent connection cannot hold a handler goroutine forever.
-	req, err := c.read()
+	var startBuf []byte
+	line, err := c.readLine(maxStartLine, &startBuf)
 	if err != nil {
+		if errors.Is(err, errLineTooLong) {
+			obsErrors.Inc()
+			_ = c.reply(Reply{Event: EventError, Reason: err.Error()})
+		}
+		return
+	}
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		obsErrors.Inc()
+		_ = c.reply(Reply{Event: EventError, Reason: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	if req.Op != OpStart {
@@ -85,7 +108,7 @@ func (s *Server) handle(conn net.Conn) {
 	// Likewise the controller config: invalid parameters are a client
 	// error, validated before spending an admission slot, and the
 	// reject is permanent — resending the same config cannot succeed.
-	c.dcfg = s.cfg.Decode
+	dcfg := s.cfg.Decode
 	if req.Control != nil {
 		ctl, err := control.New(*req.Control)
 		if err != nil {
@@ -93,7 +116,7 @@ func (s *Server) handle(conn net.Conn) {
 			_ = c.reply(Reply{Event: EventReject, Reason: err.Error(), Permanent: true})
 			return
 		}
-		c.dcfg.Policy = ctl
+		dcfg.Policy = ctl
 	}
 
 	ok, reason := s.admit()
@@ -106,130 +129,191 @@ func (s *Server) handle(conn net.Conn) {
 		})
 		return
 	}
-	defer s.release()
 
-	plan, pb := s.acquireBatcher(variant)
-	defer s.releaseBatcher(plan, pb)
-	c.pb = pb
-	c.inDim = plan.InDim()
-	c.outDim = plan.OutDim()
+	// Admitted: from here on every way out goes through end, once.
+	c.variant = variant
+	c.p = s.take(variant.Plan(), dcfg)
+	c.inDim = c.p.exec.Plan().InDim()
+	c.lineCap = frameLineCap(c.inDim)
 	c.frameCtr = obsModelFrames.With(variant.Name())
-
 	obsSessionsTotal.Inc()
 	obsModelSessions.With(variant.Name()).Inc()
 	obsSessionsActive.Add(1)
-	defer obsSessionsActive.Add(-1)
 
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
-	c.ctx, c.cancel = context.WithTimeout(context.Background(), deadline)
-	defer c.cancel()
+	c.deadline = time.Now().Add(deadline)
 
 	if err := c.reply(Reply{Event: EventReady, Session: req.ID, Model: variant.Name()}); err != nil {
 		obsErrors.Inc()
+		c.end(nil)
 		return
 	}
 	sp := obsRequestTime.Start()
-	c.run(req.PartialEvery)
+	final := c.run(req.PartialEvery)
 	sp.Stop()
+	c.end(final)
 }
 
-// run drives the decode loop after admission.
-func (c *session) run(partialEvery int) {
-	dec := c.srv.takeSession(c.dcfg)
-	defer c.srv.putSession(dec)
-	scores := make([]float64, c.outDim)
+// run drives the decode loop after admission and returns the
+// session's terminal reply — its result or error — or nil when the
+// connection is gone and nothing can be sent.
+func (c *session) run(partialEvery int) *Reply {
 	frames := 0
 	for {
-		req, err := c.read()
+		req, err := c.next()
 		if err != nil {
-			c.fail(err)
-			return
+			return c.fail(err)
 		}
 		switch req.Op {
 		case OpFrame:
-			if len(req.Data) != c.inDim {
-				c.fail(fmt.Errorf("frame has %d features, model wants %d", len(req.Data), c.inDim))
-				return
-			}
-			// One in-flight frame per session: score (possibly batched
-			// with other sessions' frames on the same pinned plan), then
-			// advance the search.
-			if err := c.pb.score(c.ctx, req.Data, scores); err != nil {
-				c.fail(err)
-				return
-			}
-			if err := dec.PushFrame(scores); err != nil {
-				c.fail(err)
-				return
+			if err := c.frame(req.Data); err != nil {
+				return c.fail(err)
 			}
 			frames++
-			c.frameCtr.Inc()
 			if partialEvery > 0 && frames%partialEvery == 0 {
-				words, _ := dec.Partial()
+				words, _ := c.p.dec.Partial()
 				if err := c.reply(Reply{Event: EventPartial, Words: words, Frames: frames}); err != nil {
 					obsErrors.Inc()
-					return
+					return nil
 				}
 			}
 		case OpFinish:
-			res := dec.Finish()
-			err := c.reply(Reply{
-				Event:  EventResult,
-				OK:     res.OK,
-				Words:  res.Words,
-				Cost:   res.Cost,
-				Frames: frames,
-			})
-			if err != nil {
-				obsErrors.Inc()
-				return
-			}
-			c.srv.served.Add(1)
-			return
+			res := c.p.dec.Finish()
+			return &Reply{Event: EventResult, OK: res.OK, Words: res.Words, Cost: res.Cost, Frames: frames}
 		default:
-			c.fail(fmt.Errorf("unknown op %q", req.Op))
-			return
+			return c.fail(fmt.Errorf("unknown op %q", req.Op))
 		}
 	}
 }
 
-// read decodes the next request under the idle timeout and the
-// session deadline, mapping expiry to a deadline error.
-func (c *session) read() (Request, error) {
-	limit := time.Now().Add(c.srv.cfg.IdleTimeout)
-	if c.ctx != nil {
-		if dl, ok := c.ctx.Deadline(); ok && dl.Before(limit) {
-			limit = dl
+// frame scores one frame on the session's own Exec and advances its
+// search. Nothing here waits for another session: the frame's whole
+// life is this goroutine.
+func (c *session) frame(data []float64) error {
+	if len(data) != c.inDim {
+		return fmt.Errorf("frame has %d features, model wants %d", len(data), c.inDim)
+	}
+	c.p.exec.LogPosteriors(c.p.scores, data)
+	if err := c.p.dec.PushFrame(c.p.scores); err != nil {
+		return err
+	}
+	c.frameCtr.Inc()
+	return nil
+}
+
+// end closes an admitted session. The order is the contract: the
+// decode state goes back to the pool, the admission slot is released
+// and the counters settle, and only then is the terminal reply
+// written. A client holding its result or error can therefore take the
+// slot again at once, and reads a Served() and a
+// serve.sessions_active that already count this session as over. The
+// drain's WaitGroup alone is released after the reply, so a graceful
+// Shutdown never returns with a finished session's reply unsent.
+func (c *session) end(final *Reply) {
+	c.srv.put(c.p, c.variant)
+	c.p = nil
+	<-c.srv.sem
+	if final != nil && final.Event == EventResult {
+		c.srv.served.Add(1)
+	}
+	obsSessionsActive.Add(-1)
+	if final != nil {
+		if err := c.reply(*final); err != nil && final.Event == EventResult {
+			obsErrors.Inc()
 		}
 	}
-	_ = c.conn.SetReadDeadline(limit)
+	c.srv.sessions.Done()
+}
+
+// next reads and parses the next request line. A frame in the
+// canonical shape is parsed in place into the pooled data slice;
+// anything else goes through encoding/json.
+func (c *session) next() (Request, error) {
+	line, err := c.readLine(c.lineCap, &c.p.line)
+	if err != nil {
+		return Request{}, err
+	}
+	if data, ok := parseFrame(line, c.p.data); ok {
+		c.p.data = data
+		return Request{Op: OpFrame, Data: data}, nil
+	}
 	var req Request
-	if err := c.dec.Decode(&req); err != nil {
-		if c.ctx != nil && c.ctx.Err() != nil {
-			return req, context.DeadlineExceeded
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return req, fmt.Errorf("idle timeout: %w", os.ErrDeadlineExceeded)
-		}
-		return req, err
-	}
-	return req, nil
+	err = json.Unmarshal(line, &req)
+	return req, err
 }
 
-// fail reports a session-fatal condition to the client and the
-// metrics, classifying deadline/idle expiry separately from protocol
-// and I/O errors.
-func (c *session) fail(err error) {
+// readLine returns the next non-blank line without its newline, under
+// the idle timeout and the session deadline, mapping their expiry to a
+// deadline error. A line longer than limit is refused with
+// errLineTooLong once limit bytes have been read, so the connection
+// never holds more than that. Lines longer than the read buffer are
+// gathered in *buf; the result is valid until the next call.
+func (c *session) readLine(limit int, buf *[]byte) ([]byte, error) {
+	expiry := time.Now().Add(c.srv.cfg.IdleTimeout)
+	if !c.deadline.IsZero() && c.deadline.Before(expiry) {
+		expiry = c.deadline
+	}
+	_ = c.conn.SetReadDeadline(expiry)
+	for {
+		line, err := c.gather(limit, buf)
+		if err != nil {
+			if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
+				return nil, context.DeadlineExceeded
+			}
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				return nil, fmt.Errorf("idle timeout: %w", os.ErrDeadlineExceeded)
+			}
+			return nil, err
+		}
+		for _, b := range line {
+			if b != ' ' && b != '\t' && b != '\r' {
+				return line, nil
+			}
+		}
+	}
+}
+
+// gather reads one line, newline dropped, of at most limit bytes. A
+// final line cut short by EOF counts as a line.
+func (c *session) gather(limit int, buf *[]byte) ([]byte, error) {
+	*buf = (*buf)[:0]
+	for {
+		frag, err := c.br.ReadSlice('\n')
+		n := len(*buf) + len(frag)
+		if err == nil {
+			n-- // the newline
+		}
+		if n > limit {
+			return nil, fmt.Errorf("%w: over %d bytes", errLineTooLong, limit)
+		}
+		switch {
+		case err == nil && len(*buf) == 0:
+			return frag[:n], nil // the whole line is in the read buffer
+		case err == nil, err == io.EOF && n > 0:
+			*buf = append(*buf, frag...)
+			return (*buf)[:n], nil
+		case err == bufio.ErrBufferFull:
+			*buf = append(*buf, frag...)
+		default:
+			return nil, err
+		}
+	}
+}
+
+// fail classifies a session-fatal condition for the metrics — deadline
+// and idle expiry apart from protocol and I/O errors — and returns the
+// error reply that ends the session.
+func (c *session) fail(err error) *Reply {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded) {
 		obsDeadlineExceeded.Inc()
 	} else {
 		obsErrors.Inc()
 	}
-	_ = c.reply(Reply{Event: EventError, Reason: err.Error()})
+	return &Reply{Event: EventError, Reason: err.Error()}
 }
 
 // reply writes one reply line and flushes it to the socket. The

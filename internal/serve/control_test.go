@@ -28,8 +28,7 @@ func adaptiveControl() *control.Config {
 // TestAdaptiveSessionMatchesLocal pins the serving contract for
 // adaptive decodes: a session that requests the controller in its
 // handshake returns exactly the transcript a local adaptive decode of
-// the same frames produces — pooling, batching, and concurrency
-// included — and two served runs of the same utterance are identical.
+// the same frames produces — pooling and concurrency included — and two served runs of the same utterance are identical.
 func TestAdaptiveSessionMatchesLocal(t *testing.T) {
 	f := newFixture(t)
 	_, addr, stop := f.start(t, nil)
@@ -71,7 +70,7 @@ func TestAdaptiveSessionMatchesLocal(t *testing.T) {
 
 // scored splices one utterance and computes its acoustic scores with a
 // fresh clone of the fixture network (the same rows the server's
-// batcher will produce).
+// per-session Exec will produce).
 func (f *testFixture) scored(u *speech.Utterance) (spliced, scores [][]float64) {
 	spliced = speech.SpliceAll(u.Frames, f.topo.Context)
 	net := f.net.Clone()

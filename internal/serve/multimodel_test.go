@@ -22,8 +22,8 @@ import (
 
 // multiFixture extends the serve fixture with a two-variant registry:
 // the variants carry genuinely different weights (different seeds), so
-// any frame coalesced into the wrong variant's batch — or a session
-// resolved to the wrong plan — shows up as a different transcript.
+// a frame scored on the wrong variant's plan — or a session resolved
+// to the wrong plan — shows up as a different transcript.
 type multiFixture struct {
 	*testFixture
 	reg  *registry.Registry
@@ -73,16 +73,15 @@ func (f *multiFixture) referenceFor(model string, u *speech.Utterance) ([][]floa
 	return spliced, f.dec.Decode(scores, decoder.Config{Beam: 15, AcousticScale: 1})
 }
 
-// TestMultiModelBitIdentical is the per-plan batching property test:
-// concurrent sessions pinned to different variants — with batching
-// windows wide enough that coalescing definitely happens — each
-// produce transcripts bit-identical to their own variant's serial
-// reference. Frames coalescing across variants would mix weights and
-// break this immediately.
+// TestMultiModelBitIdentical is the per-plan scoring property test:
+// concurrent sessions pinned to different variants — recycling each
+// other's pooled state, so an Exec of one variant's plan is offered to
+// sessions of the other — each produce transcripts bit-identical to
+// their own variant's serial reference. A frame scored on the wrong
+// plan would mix weights and break this immediately.
 func TestMultiModelBitIdentical(t *testing.T) {
 	f := newMultiFixture(t)
 	_, addr, stop := f.startMulti(t, func(c *Config) {
-		c.BatchWindow = 5 * time.Millisecond
 		c.MaxSessions = 64
 	})
 	defer stop()
@@ -107,8 +106,8 @@ func TestMultiModelBitIdentical(t *testing.T) {
 			u := f.utts[i%len(f.utts)]
 			frames, want := f.referenceFor(resolved, u)
 			// Shuffle nothing about the frames themselves (order is the
-			// protocol's), but jitter session starts so batches form from
-			// interleaved mixes of both variants' sessions.
+			// protocol's), but jitter session starts so both variants'
+			// sessions interleave through the pool.
 			time.Sleep(time.Duration(rand.Intn(3)) * time.Millisecond)
 			cs, err := Dial(addr, SessionOptions{ID: fmt.Sprintf("mm%d", i), Model: model})
 			if err != nil {
@@ -157,9 +156,7 @@ func TestMultiModelBitIdentical(t *testing.T) {
 // with the NEW weights, and the swap counter moves.
 func TestHotSwapDrains(t *testing.T) {
 	f := newMultiFixture(t)
-	_, addr, stop := f.startMulti(t, func(c *Config) {
-		c.BatchWindow = time.Millisecond
-	})
+	_, addr, stop := f.startMulti(t, nil)
 	defer stop()
 
 	obs.Enable()
@@ -242,7 +239,6 @@ func TestHotSwapDrains(t *testing.T) {
 func TestHotSwapUnderConcurrentLoad(t *testing.T) {
 	f := newMultiFixture(t)
 	_, addr, stop := f.startMulti(t, func(c *Config) {
-		c.BatchWindow = 2 * time.Millisecond
 		c.MaxSessions = 64
 	})
 	defer stop()

@@ -3,11 +3,10 @@ package serve
 import "repro/internal/obs"
 
 // Serving-path metrics (see docs/OBSERVABILITY.md for the catalogue
-// and docs/SERVING.md for how they relate to admission control and
-// the cross-session batcher). Like every other instrumented package,
-// updates are dropped at one atomic load's cost while observation is
-// disabled and none of them feed back into decoding — transcripts are
-// bit-identical with metrics on or off.
+// and docs/SERVING.md for how they relate to admission control). Like
+// every other instrumented package, updates are dropped at one atomic
+// load's cost while observation is disabled and none of them feed back
+// into decoding — transcripts are bit-identical with metrics on or off.
 var (
 	obsSessionsActive = obs.NewGauge("serve.sessions_active", "sessions",
 		"decode sessions currently admitted and in flight")
@@ -23,16 +22,6 @@ var (
 		"sessions ended by a protocol or I/O error")
 	obsDeadlineExceeded = obs.NewCounter("serve.deadline_exceeded", "sessions",
 		"sessions aborted by the per-request deadline or idle timeout")
-	obsBatchSize = obs.NewHistogram("serve.batch_size", "frames",
-		"frames coalesced per cross-session DNN forward pass", obs.CountBuckets(1024))
-	obsQueueDepth = obs.NewGauge("serve.queue_depth", "frames",
-		"score requests waiting in the batcher queue (sampled at enqueue)")
-	obsBatchFlushReason = obs.NewCounterFamily("serve.batch_flush_reason", "flushes", "reason",
-		"batched forward passes by why the batch closed: full (covered every "+
-			"pinned session or hit max-batch), window (flush window expired), "+
-			"opportunistic (windowless batcher drained the queue), drain (shutdown flush)")
-	obsQueueWait = obs.NewTimer("serve.queue_wait_seconds",
-		"seconds a frame waits in the batcher queue before its forward pass starts")
 	obsRequestTime = obs.NewTimer("serve.request_seconds",
 		"wall-clock seconds per session, admission to final result")
 )

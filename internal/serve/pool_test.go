@@ -4,57 +4,76 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 // TestSessionPoolReusedAcrossConnections pins the serving layer's
-// session recycling: sequential connections decode through the same
-// pooled decoder.Session (restarted in place, not re-allocated), and
-// recycled sessions produce results bit-identical to local serial
-// decodes.
+// recycling: sequential connections decode through the same pooled
+// decoder.Session and score on the same pooled Exec (restarted in
+// place, not re-allocated), recycled state produces results
+// bit-identical to local serial decodes, and after a hot-swap the next
+// session scores on a fresh Exec of the new plan. The state is back in
+// the pool before the result is written, so no polling is needed.
 func TestSessionPoolReusedAcrossConnections(t *testing.T) {
 	f := newFixture(t)
 	srv, addr, stop := f.start(t, nil)
 	defer stop()
 
-	poolLen := func() int {
+	pooledState := func() *pooled {
 		srv.poolMu.Lock()
 		defer srv.poolMu.Unlock()
-		return len(srv.pool)
+		if len(srv.pool) != 1 {
+			t.Fatalf("pool holds %d entries, want 1", len(srv.pool))
+		}
+		return srv.pool[0]
 	}
-	if got := poolLen(); got != 0 {
-		t.Fatalf("pool starts with %d sessions, want 0", got)
+	if n := len(srv.pool); n != 0 {
+		t.Fatalf("pool starts with %d entries, want 0", n)
 	}
-
-	const rounds = 6
-	for i := 0; i < rounds; i++ {
-		u := f.utts[i%len(f.utts)]
+	decodeAndCheck := func(round int) {
+		t.Helper()
+		u := f.utts[round%len(f.utts)]
 		frames, want := f.reference(u)
-		rep, _, err := decodeRemote(addr, frames, SessionOptions{ID: fmt.Sprintf("pool%d", i)})
+		rep, _, err := decodeRemote(addr, frames, SessionOptions{ID: fmt.Sprintf("pool%d", round)})
 		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
+			t.Fatalf("round %d: %v", round, err)
 		}
 		if rep.OK != want.OK || math.Float64bits(rep.Cost) != math.Float64bits(want.Cost) {
 			t.Fatalf("round %d: served (%v, %v) != local (%v, %v)",
-				i, rep.OK, rep.Cost, want.OK, want.Cost)
+				round, rep.OK, rep.Cost, want.OK, want.Cost)
 		}
 		if fmt.Sprint(rep.Words) != fmt.Sprint(want.Words) {
-			t.Fatalf("round %d: served words %v != local %v", i, rep.Words, want.Words)
+			t.Fatalf("round %d: served words %v != local %v", round, rep.Words, want.Words)
 		}
-		// Sequential connections: the session returns to the pool after
-		// each round and the next round takes it back out, so the pool
-		// never holds more than one session. The return happens on the
-		// server's connection goroutine after the final reply is sent,
-		// so allow it a moment to land.
-		deadline := time.Now().Add(5 * time.Second)
-		for poolLen() != 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: pool holds %d sessions, want 1", i, poolLen())
-			}
-			time.Sleep(time.Millisecond)
+	}
+
+	const rounds = 6
+	decodeAndCheck(0)
+	first := pooledState()
+	dec, exec := first.dec, first.exec
+	for i := 1; i < rounds; i++ {
+		decodeAndCheck(i)
+		p := pooledState()
+		if p != first || p.dec != dec || p.exec != exec {
+			t.Fatalf("round %d: pooled state not recycled", i)
 		}
 	}
 	if got := srv.Served(); got != rounds {
 		t.Errorf("Served() = %d, want %d", got, rounds)
+	}
+
+	// Hot-swap the variant to a clone of the same weights: a new plan,
+	// the same transcripts.
+	v, _ := srv.Registry().Resolve("")
+	if _, err := v.Swap(f.net.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	decodeAndCheck(rounds)
+	p := pooledState()
+	if p.dec != dec {
+		t.Error("decode session not recycled across the swap")
+	}
+	if p.exec == exec || p.exec.Plan() != v.Plan() {
+		t.Errorf("Exec after swap: same %v, on current plan %v; want a fresh Exec of the new plan",
+			p.exec == exec, p.exec.Plan() == v.Plan())
 	}
 }

@@ -1,34 +1,34 @@
 // Package serve is the streaming ASR decode service: a long-lived,
 // stdlib-only TCP server that turns the repo's batch decode pipeline
 // into the serving deployment the paper's accelerators target. Each
-// connection is one decoder.Session fed frame by frame; acoustic
-// scoring is amortized by per-model cross-session dynamic batchers
-// that coalesce frames arriving from concurrent sessions pinned to
-// the same model variant into one layer-major dnn forward pass
-// (bit-identical per row, so transcripts match the offline CLIs
-// exactly).
+// connection is one decoder.Session fed frame by frame, and each frame
+// lives its whole life on that connection's goroutine: the frame line
+// is parsed without reflection (frame.go), scored on the session's own
+// dnn.Exec of the plan it pinned at admission, and pushed into the
+// search. No queue, no hand-off, no waiting for other sessions — and
+// the same arithmetic as the offline CLIs, so transcripts match them
+// bit for bit.
 //
 // The server fronts a model registry (internal/registry): N named
 // (model, backend) variants served side by side, selected per session
 // by the handshake's model field, with atomic plan-pointer hot-swap —
 // in-flight sessions finish on the plan they pinned at admission, new
-// sessions pick up reloaded weights, and frames only ever batch
-// within one plan, which is what keeps row-wise bit-identity intact
-// across a fleet of coexisting variants.
+// sessions pick up reloaded weights.
 //
 // The production plumbing around that core is the point of the
 // package: bounded admission (explicit reject with a retry-after hint
 // instead of unbounded queue growth; unknown models get a structured
-// reject listing the servable variants), per-request deadlines and
-// idle timeouts, graceful drain on shutdown (in-flight sessions
-// finish, new ones are refused), and full internal/obs
-// instrumentation (active sessions, per-model session/frame counters,
-// batch-size histogram, queue depth/wait, rejects, per-request
-// latency). It is where the paper's "dark side" becomes operational:
-// a 90%-pruned model inflates per-frame search cost, so under
-// concurrent load the serve.request_seconds histogram shows the tail
-// blowup that Figure 4's workload explosion predicts — now comparable
-// across pruning levels within one process.
+// reject listing the servable variants), bounded request lines,
+// per-request deadlines and idle timeouts, graceful drain on shutdown
+// (in-flight sessions finish, new ones are refused), recycled
+// per-session decode state (a warm session decodes a frame without
+// allocating), and full internal/obs instrumentation (active sessions,
+// per-model session/frame counters, rejects, per-request latency). It
+// is where the paper's "dark side" becomes operational: a 90%-pruned
+// model inflates per-frame search cost, so under concurrent load the
+// serve.request_seconds histogram shows the tail blowup that Figure
+// 4's workload explosion predicts — now comparable across pruning
+// levels within one process.
 //
 // Protocol and semantics are documented in docs/SERVING.md;
 // cmd/asrserve is the binary, cmd/asrrouter the shard router in front
@@ -82,17 +82,6 @@ type Config struct {
 	// MaxSessions bounds concurrently admitted sessions; starts
 	// beyond it are rejected with a retry-after hint (default 64).
 	MaxSessions int
-	// QueueDepth bounds each per-model batcher's frame queue; a full
-	// queue blocks sessions (TCP backpressure), never grows (default
-	// 4*MaxSessions).
-	QueueDepth int
-	// BatchWindow is how long a batcher waits from the first queued
-	// frame for companions before flushing a forward pass (default
-	// 1ms; negative = flush immediately, batching only what is
-	// already queued).
-	BatchWindow time.Duration
-	// MaxBatch caps frames per forward pass (default MaxSessions).
-	MaxBatch int
 
 	// IdleTimeout aborts a session when the client sends nothing for
 	// this long (default 30s).
@@ -125,15 +114,6 @@ func (c *Config) fillDefaults() error {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxSessions
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = c.MaxSessions
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
 	}
@@ -159,38 +139,27 @@ type Server struct {
 	mu    sync.Mutex
 	conns map[net.Conn]struct{} // open connections, for forced close
 
-	// batchMu guards batchers, the per-plan batcher table. Frames only
-	// coalesce within one compiled plan — mixing variants in a batch
-	// would still be row-wise correct, but per-plan batchers keep the
-	// batch loop free of per-row plan dispatch and make the variant the
-	// unit of hot-swap: a swapped-out plan's batcher drains its pinned
-	// sessions and is then retired.
-	batchMu  sync.Mutex
-	batchers map[*dnn.Plan]*planBatcher
-
-	// poolMu guards pool, the idle decode sessions kept for reuse.
-	// A decoder.Session retains its hypothesis store, token maps, and
-	// arenas across Restart, so a recycled session decodes the next
-	// utterance without allocating; the pool never exceeds
-	// MaxSessions (a session is only returned by a handler that held
-	// an admission slot). Decode sessions carry no model state —
-	// scores arrive from the pinned plan's batcher — so one pool
-	// serves every variant.
+	// poolMu guards pool, the idle per-session state kept for reuse. A
+	// decoder.Session retains its hypothesis store, token maps, and
+	// arenas across Restart and an Exec its activations, so a recycled
+	// session decodes the next utterance without allocating. The pool
+	// never exceeds MaxSessions: state is only returned by a handler
+	// that held an admission slot.
 	poolMu sync.Mutex
-	pool   []*decoder.Session
+	pool   []*pooled
 
 	served atomic.Int64 // sessions completed (for the CLI summary)
 }
 
-// planBatcher is one model variant's batcher plus the count of
-// sessions currently pinned to its plan. refs doubles as the
-// batcher's live-session signal: once a batch holds a frame from
-// every pinned session nothing more can arrive, so the batcher
-// flushes without waiting out the window.
-type planBatcher struct {
-	*batcher
-	variant *registry.Variant
-	refs    atomic.Int64
+// pooled is the per-session state the server recycles across
+// connections: the decode session, an Exec of one plan, and the frame
+// buffers — everything a frame touches.
+type pooled struct {
+	dec    *decoder.Session
+	exec   *dnn.Exec
+	line   []byte    // gathers a request line longer than the read buffer
+	data   []float64 // the frame fast path parses into this
+	scores []float64 // log-posteriors, len = plan OutDim
 }
 
 // New validates cfg, applies defaults, and returns an unbound server.
@@ -199,10 +168,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxSessions),
-		conns:    map[net.Conn]struct{}{},
-		batchers: map[*dnn.Plan]*planBatcher{},
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.MaxSessions),
+		conns: map[net.Conn]struct{}{},
 	}, nil
 }
 
@@ -231,8 +199,6 @@ func (s *Server) Addr() net.Addr {
 
 // Serve runs the accept loop; it blocks until Shutdown (returning
 // nil) or a listener failure. One connection is one decode session.
-// Batchers start lazily with the first session pinned to each
-// variant's plan.
 func (s *Server) Serve() error {
 	if s.ln == nil {
 		return errors.New("serve: Serve before Listen")
@@ -263,11 +229,11 @@ func (s *Server) Served() int64 { return s.served.Load() }
 
 // Shutdown drains the server: the listener closes immediately (new
 // connections are refused, and a session start racing the close is
-// rejected with a "draining" reply), in-flight sessions run to
-// completion, then every batcher flushes and stops. If ctx expires
-// first, the remaining connections are closed forcibly and ctx's
-// error is returned. Shutdown is idempotent only in its drain effect;
-// call it once.
+// rejected with a "draining" reply), and in-flight sessions run to
+// completion, their final replies written. If ctx expires first, the
+// remaining connections are closed forcibly and ctx's error is
+// returned. Shutdown is idempotent only in its drain effect; call it
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// The mutex orders the drain flag against admissions: after it is
 	// released, no handler can Add to the sessions WaitGroup anymore
@@ -285,72 +251,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.sessions.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
 		s.closeConns()
 		<-done // handlers exit promptly once their conns are closed
-	}
-	// No session can submit anymore; stop whatever batchers remain
-	// (retired ones were already stopped on their last release).
-	s.batchMu.Lock()
-	remaining := make([]*planBatcher, 0, len(s.batchers))
-	for plan, pb := range s.batchers {
-		remaining = append(remaining, pb)
-		delete(s.batchers, plan)
-	}
-	s.batchMu.Unlock()
-	for _, pb := range remaining {
-		pb.stop()
-	}
-	return err
-}
-
-// acquireBatcher pins the variant's current plan for one session: it
-// returns the plan and the (possibly just-started) batcher dedicated
-// to it, with the session counted in. Release with releaseBatcher
-// when the session ends. Between a hot-swap and the last pinned
-// session's release, old plan and new plan each have a live batcher —
-// frames never coalesce across the swap.
-func (s *Server) acquireBatcher(v *registry.Variant) (*dnn.Plan, *planBatcher) {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	plan := v.Plan()
-	pb := s.batchers[plan]
-	if pb == nil {
-		pb = &planBatcher{variant: v}
-		pb.batcher = newBatcher(plan, s.cfg.QueueDepth, s.cfg.MaxBatch, s.cfg.BatchWindow,
-			func() int { return int(pb.refs.Load()) })
-		s.batchers[plan] = pb
-		go pb.run()
-	}
-	pb.refs.Add(1)
-	return plan, pb
-}
-
-// releaseBatcher drops one session's pin. A batcher whose plan has
-// been swapped out is retired once its last session releases; the
-// current plan's batcher stays (idle batchers cost one parked
-// goroutine).
-func (s *Server) releaseBatcher(plan *dnn.Plan, pb *planBatcher) {
-	s.batchMu.Lock()
-	retire := pb.refs.Add(-1) == 0 && pb.variant.Plan() != plan
-	if retire {
-		delete(s.batchers, plan)
-	}
-	s.batchMu.Unlock()
-	if retire {
-		// No submitter exists (refs hit 0 and the plan is unreachable
-		// from acquireBatcher), so stop only waits for the final flush.
-		pb.stop()
+		return ctx.Err()
 	}
 }
 
 // admit claims an admission slot, or explains why it cannot. On
 // success the caller owns one sessions WaitGroup count and one sem
-// slot, both returned via release.
+// slot, both returned by session.end.
 func (s *Server) admit() (ok bool, reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,11 +279,6 @@ func (s *Server) admit() (ok bool, reason string) {
 	return true, ""
 }
 
-func (s *Server) release() {
-	<-s.sem
-	s.sessions.Done()
-}
-
 func (s *Server) track(conn net.Conn, add bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,36 +289,58 @@ func (s *Server) track(conn net.Conn, add bool) {
 	}
 }
 
-// takeSession returns a recycled decode session from the pool, or
-// starts a fresh one, configured with dcfg — the server's Decode
-// config plus any per-session additions (the handshake's adaptive
-// controller). Recycling is invisible to clients: Restart is
+// take returns recycled per-session state from the pool, or fresh
+// state, ready to decode under dcfg — the server's Decode config plus
+// any per-session additions (the handshake's adaptive controller) —
+// and to score on plan. It prefers state whose Exec already belongs
+// to plan and otherwise builds one, so a session always scores on the
+// plan it pinned. Recycling is invisible to clients: Restart is
 // bit-identical to Decoder.Start with the same configuration, and a
 // pooled session resets the controller at Restart, so a recycled
 // adaptive session decides exactly like a fresh one.
-func (s *Server) takeSession(dcfg decoder.Config) *decoder.Session {
+func (s *Server) take(plan *dnn.Plan, dcfg decoder.Config) *pooled {
 	s.poolMu.Lock()
-	var ses *decoder.Session
+	var p *pooled
 	if n := len(s.pool); n > 0 {
-		ses = s.pool[n-1]
+		i := n - 1
+		for j := n - 1; j >= 0; j-- {
+			if s.pool[j].exec != nil && s.pool[j].exec.Plan() == plan {
+				i = j
+				break
+			}
+		}
+		p = s.pool[i]
+		s.pool[i] = s.pool[n-1]
 		s.pool[n-1] = nil
 		s.pool = s.pool[:n-1]
 	}
 	s.poolMu.Unlock()
-	if ses != nil {
-		if err := ses.Restart(dcfg); err == nil {
-			return ses
-		}
+	if p == nil {
+		p = &pooled{}
 	}
-	return s.cfg.Decoder.Start(dcfg)
+	if p.dec == nil || p.dec.Restart(dcfg) != nil {
+		p.dec = s.cfg.Decoder.Start(dcfg)
+	}
+	if p.exec == nil || p.exec.Plan() != plan {
+		p.exec = plan.NewExec()
+	}
+	if cap(p.scores) < plan.OutDim() {
+		p.scores = make([]float64, plan.OutDim())
+	}
+	p.scores = p.scores[:plan.OutDim()]
+	return p
 }
 
-// putSession returns a session to the pool once its connection is
+// put returns a session's state to the pool once its connection is
 // done with it (finished, failed, or abandoned mid-decode — Restart
-// recovers every case).
-func (s *Server) putSession(ses *decoder.Session) {
+// recovers every case). An Exec of a plan the variant has since
+// swapped out is dropped, so idle state never keeps old weights alive.
+func (s *Server) put(p *pooled, v *registry.Variant) {
+	if p.exec.Plan() != v.Plan() {
+		p.exec = nil
+	}
 	s.poolMu.Lock()
-	s.pool = append(s.pool, ses)
+	s.pool = append(s.pool, p)
 	s.poolMu.Unlock()
 }
 

@@ -73,10 +73,9 @@ func TestRoutedDecodeBitIdenticalToDirect(t *testing.T) {
 	}
 	startBackend := func() (*serve.Server, string, func()) {
 		srv, err := serve.New(serve.Config{
-			Registry:    newRegistry(),
-			Decoder:     dec,
-			Decode:      dcfg,
-			BatchWindow: 2 * time.Millisecond,
+			Registry: newRegistry(),
+			Decoder:  dec,
+			Decode:   dcfg,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@
 // whether it runs through (a) the batch path (Decoder.Decode over
 // precomputed scores, what cmd/asrdecode does), (b) a serial
 // incremental Session, or (c) an asrserve-style serve.Server with
-// cross-session batching enabled and other sessions in flight.
+// other sessions in flight.
 // Importing repro/internal/serve here also puts the serve metrics
 // into this binary's Default registry, which keeps
 // TestObservabilityCatalogMatchesRegistry honest about them.
@@ -73,13 +73,12 @@ func TestServedDecodeBitIdenticalAcrossPaths(t *testing.T) {
 		}
 	}
 
-	// Path (c): the streaming service with cross-session batching. All
-	// utterances run concurrently so frames genuinely coalesce.
+	// Path (c): the streaming service. All utterances run concurrently,
+	// each on its own session goroutine and Exec.
 	srv, err := serve.New(serve.Config{
-		Net:         net.Clone(),
-		Decoder:     dec,
-		Decode:      dcfg,
-		BatchWindow: 2 * time.Millisecond,
+		Net:     net.Clone(),
+		Decoder: dec,
+		Decode:  dcfg,
 	})
 	if err != nil {
 		t.Fatal(err)
