@@ -148,20 +148,29 @@ fi
 echo "docs link audit ok ($(find docs -type f | wc -l) files reachable)"
 
 # Distil the forward benches into BENCH_dnn.json and enforce the
-# acceptance floors: sparse >= 3x faster than dense on the 90%-pruned
-# FC stack, dense-int8 >= 1.2x faster than float dense on the unpruned
-# stack, and bsr >= 1.15x faster than CSR sparse on the 90% stacks at
-# equal global sparsity (block-pruned layout, docs/BLOCK.md). The
-# sparse-int8 vs float-sparse ratio at p90 (the int8 plan compiles the
-# CSR hybrid there) is recorded but not gated: both kernels are
-# gather-bound at 10% density, and the hybrid's value is the 4x
-# smaller value array, not speed (docs/QUANT.md). Each bench runs 3
-# times and the distiller keeps the per-series minimum — the
-# memory-bound int8 kernel is the most sensitive to transient bus
-# contention, and min-of-3 is the standard way to gate on the machine,
-# not the noise.
-go test -run '^$' -bench '^BenchmarkForward' -benchtime=15x -count=3 \
-	./internal/dnn >"$smoke/bench.out"
+# acceptance floors on the 4.5M-weight FC stack: sparse >= 1.8x faster
+# than dense at p90, bsr >= 1.15x faster than CSR sparse at p90 at equal
+# global sparsity (block-pruned layout, docs/BLOCK.md), and dense no
+# slower than bsr at p0, where bsr stores every tile and skips nothing.
+# The last gate pins the row-blocked dense matvec: dense lost to bsr/p0
+# while each dense row was one serial add chain. The sparse floor is the
+# ratio measured against that row-blocked dense over ten runs (lower
+# quartile 2.82x, median 2.95x) divided by 1.5 and rounded down.
+# Two ratios are recorded but not gated: dense-int8 vs float dense at p0
+# (int8's old lead came from its four accumulators, not its narrower
+# weights; docs/QUANT.md), and sparse-int8 vs float sparse at p90 (the
+# int8 plan compiles the CSR hybrid there; both kernels are gather-bound
+# at 10% density, and the hybrid's value is the 4x smaller value array,
+# not speed). The whole bench runs 3 times and the distiller keeps the
+# per-series minimum — min-of-3 is the standard way to gate on the
+# machine, not the noise. Three separate runs, not -count=3: -count
+# repeats each series back to back within a few milliseconds, so one
+# burst of host load can spoil all three samples of a series at once.
+: >"$smoke/bench.out"
+for _ in 1 2 3; do
+	go test -run '^$' -bench '^BenchmarkForward' -benchtime=15x \
+		./internal/dnn >>"$smoke/bench.out"
+done
 cat "$smoke/bench.out"
 awk '
 	/^BenchmarkForward\// {
@@ -183,14 +192,16 @@ awk '
 		int8p0 = ns["dense/p0"] / ns["int8/p0"]
 		int8p90 = ns["sparse/p90"] / ns["int8/p90"]
 		bsrp90 = ns["sparse/p90"] / ns["bsr/p90"]
+		bsrp0 = ns["bsr/p0"] / ns["dense/p0"]
 		printf "  \"p90_speedup\": %.2f,\n", speedup
 		printf "  \"p0_int8_speedup\": %.2f,\n", int8p0
 		printf "  \"p90_int8_vs_sparse\": %.2f,\n", int8p90
-		printf "  \"p90_bsr_vs_sparse\": %.2f\n}\n", bsrp90
-		exit (speedup < 3 || int8p0 < 1.2 || bsrp90 < 1.15) ? 1 : 0
+		printf "  \"p90_bsr_vs_sparse\": %.2f,\n", bsrp90
+		printf "  \"p0_dense_vs_bsr\": %.2f\n}\n", bsrp0
+		exit (speedup < 1.8 || bsrp90 < 1.15 || bsrp0 < 1) ? 1 : 0
 	}' "$smoke/bench.out" >BENCH_dnn.json ||
-	{ echo "forward bench floors broken: sparse < 3x dense at p90, int8 < 1.2x dense at p0, or bsr < 1.15x sparse at p90 (see BENCH_dnn.json)" >&2; exit 1; }
-echo "BENCH_dnn.json: $(grep -E 'p90_speedup|int8_|_int8|bsr_vs' BENCH_dnn.json | tr -d '\n ')"
+	{ echo "forward bench floors broken: sparse < 1.8x dense at p90, bsr < 1.15x sparse at p90, or dense slower than bsr at p0 (see BENCH_dnn.json)" >&2; exit 1; }
+echo "BENCH_dnn.json: $(grep -E 'p90_speedup|int8_|_int8|bsr_vs|vs_bsr' BENCH_dnn.json | tr -d '\n ')"
 
 # Distil the decode benches into BENCH_decode.json and enforce the
 # zero-allocation gate: a warmed pooled session must push frames with

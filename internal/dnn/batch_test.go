@@ -33,9 +33,9 @@ func maskSmallest(net *Network, fraction float64) {
 }
 
 // TestForwardBatchBitIdentical is the batching-equivalence property
-// test behind internal/serve's cross-session batcher: log-posteriors
-// computed through LogPosteriorsBatch over an interleaved, shuffled
-// mix of frames from several simulated sessions must be bit-identical
+// of the batched entry points: log-posteriors computed through
+// LogPosteriorsBatch over an interleaved, shuffled mix of frames from
+// several simulated sessions must be bit-identical
 // (Float64bits equal) to scoring each frame alone with LogPosteriors,
 // at every pruning level and for every batch size.
 func TestForwardBatchBitIdentical(t *testing.T) {

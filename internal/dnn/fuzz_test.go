@@ -1,0 +1,81 @@
+package dnn_test
+
+import (
+	"testing"
+
+	"repro/internal/dnn"
+	"repro/internal/mat"
+)
+
+// FuzzKernels is the differential test of the float kernels: a random
+// two-FC stack (every shape from 1 to 40 rows and 1 to 80 inputs, so
+// every Rows%4 remainder of the row-blocked dense matvec and every
+// ragged BSR edge tile is reachable), pruned by a random unstructured,
+// 4×4-block or 8×8-block mask, must score bit-identically under the
+// dense, sparse and bsr plans.
+func FuzzKernels(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		f.Add(int64(i), uint8(7*i+3), uint8(i), uint8(9*i+1), uint8(i), uint8(32*i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, in, hidden, out, maskKind, keep uint8) {
+		rng := mat.NewRNG(seed)
+		fc1 := dnn.NewFC("fc1", 1+int(in)%80, 1+int(hidden)%40, 0.5, rng)
+		fc2 := dnn.NewFC("fc2", fc1.OutDim(), 1+int(out)%40, 0.5, rng)
+		for _, fc := range []*dnn.FC{fc1, fc2} {
+			rng.FillNorm(fc.B, 0, 0.1)
+			pruneRandomly(fc, rng, int(maskKind)%4, float64(keep)/255)
+		}
+		net := dnn.NewNetwork(fc1, fc2)
+
+		backends := []dnn.Backend{dnn.BackendDense, dnn.BackendSparse, dnn.BackendBSR}
+		execs := make([]*dnn.Exec, len(backends))
+		for i, b := range backends {
+			execs[i] = dnn.Compile(net, dnn.PlanConfig{Backend: b}).NewExec()
+		}
+		x := make([]float64, net.InDim())
+		want := make([]float64, net.OutDim())
+		got := make([]float64, net.OutDim())
+		for frame := 0; frame < 3; frame++ {
+			rng.FillNorm(x, 0, 2)
+			wantLogits := append([]float64(nil), execs[0].Logits(x)...)
+			execs[0].LogPosteriors(want, x)
+			for i := 1; i < len(execs); i++ {
+				if !bitsEqual(wantLogits, execs[i].Logits(x)) {
+					t.Fatalf("frame %d: %s logits differ from dense", frame, backends[i])
+				}
+				execs[i].LogPosteriors(got, x)
+				if !bitsEqual(want, got) {
+					t.Fatalf("frame %d: %s log-posteriors differ from dense", frame, backends[i])
+				}
+			}
+		}
+	})
+}
+
+// pruneRandomly installs a random mask keeping each weight (kind 1) or
+// each 4×4 / 8×8 tile (kinds 2, 3) with probability keep; kind 0 leaves
+// the layer dense.
+func pruneRandomly(fc *dnn.FC, rng *mat.RNG, kind int, keep float64) {
+	if kind == 0 {
+		return
+	}
+	rows, cols := fc.OutDim(), fc.InDim()
+	fc.Mask = make([]bool, rows*cols)
+	block := []int{1: 1, 2: 4, 3: 8}[kind]
+	for r0 := 0; r0 < rows; r0 += block {
+		for c0 := 0; c0 < cols; c0 += block {
+			if rng.Float64() >= keep {
+				continue
+			}
+			for r := r0; r < min(r0+block, rows); r++ {
+				for c := c0; c < min(c0+block, cols); c++ {
+					fc.Mask[r*cols+c] = true
+				}
+			}
+		}
+	}
+	if block > 1 {
+		fc.BlockSize = block
+	}
+	fc.ApplyMask()
+}

@@ -31,8 +31,7 @@ type Kernel interface {
 	// MatVec evaluates the layer for one frame: dst = f(in).
 	MatVec(scratch any, dst, in []float64)
 	// MatVecBatch evaluates the layer for a batch, layer-major. Every
-	// output row must be bit-identical to MatVec on that row alone —
-	// the batching contract all serving paths rely on.
+	// output row must be bit-identical to MatVec on that row alone.
 	MatVecBatch(scratch any, dsts, ins [][]float64)
 }
 
@@ -52,7 +51,11 @@ func (k layerKernel) MatVecBatch(_ any, dsts, ins [][]float64) {
 }
 
 // denseKernel is the float dense matvec: the FC layer's own Forward
-// (W·x + b) over the row-major float64 weight matrix.
+// (W·x + b) over the row-major float64 weight matrix. mat.MatVec is
+// row-blocked — four output rows per pass over the input, four
+// independent add chains — while each row still sums its columns in
+// ascending order, which is the order the sparse and bsr kernels
+// reproduce.
 type denseKernel struct{ fc *FC }
 
 func (k denseKernel) Name() string    { return "dense" }

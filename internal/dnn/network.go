@@ -139,9 +139,8 @@ func (n *Network) Logits(in []float64) []float64 {
 
 // LogitsBatch computes pre-softmax outputs for a batch of input
 // frames in one layer-major pass through the cached plan; see
-// Exec.LogitsBatch for the bit-identity contract the cross-session
-// batcher in internal/serve relies on. The returned rows alias
-// scratch reused by the next batched call; copy to retain. Like
+// Exec.LogitsBatch for its bit-identity contract. The returned rows
+// alias scratch reused by the next batched call; copy to retain. Like
 // Logits, not safe for concurrent use on one Network.
 func (n *Network) LogitsBatch(ins [][]float64) [][]float64 {
 	return n.ownExec().LogitsBatch(ins)

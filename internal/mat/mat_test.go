@@ -52,6 +52,60 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
+// TestMatVecMatchesSingleChain pins the row-blocked MatVec bit for bit
+// against the one-add-chain-per-row loop it replaced, on every Rows%4
+// remainder and on ragged column counts, with values chosen to expose
+// any change of accumulation order: signed zeros, subnormals, and
+// magnitudes whose partial sums overflow to ±Inf (and then NaN).
+func TestMatVecMatchesSingleChain(t *testing.T) {
+	reference := func(m *Matrix, x []float64) []float64 {
+		out := make([]float64, m.Rows)
+		for i := range out {
+			var s float64
+			for j := 0; j < m.Cols; j++ {
+				s += m.Data[i*m.Cols+j] * x[j]
+			}
+			out[i] = s
+		}
+		return out
+	}
+	specials := []float64{
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -4 * math.SmallestNonzeroFloat64,
+		0x1p-1022, 1e308, -1e308, math.MaxFloat64, 1, -1, 1e-300, 3,
+	}
+	rng := NewRNG(5)
+	fill := func(v []float64) {
+		for i := range v {
+			if rng.Intn(3) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+	}
+	for rows := 0; rows <= 13; rows++ {
+		for _, cols := range []int{0, 1, 2, 3, 5, 8, 17, 64} {
+			for trial := 0; trial < 4; trial++ {
+				m := NewMatrix(rows, cols)
+				x := make([]float64, cols)
+				fill(m.Data)
+				fill(x)
+				got := make([]float64, rows)
+				m.MatVec(got, x)
+				for i, w := range reference(m, x) {
+					if math.Float64bits(got[i]) != math.Float64bits(w) {
+						t.Fatalf("%dx%d trial %d row %d: MatVec %v (%#x), single chain %v (%#x)",
+							rows, cols, trial, i, got[i], math.Float64bits(got[i]), w, math.Float64bits(w))
+					}
+					if d := Dot(m.Row(i), x); math.Float64bits(d) != math.Float64bits(w) {
+						t.Fatalf("%dx%d trial %d row %d: Dot %v, single chain %v", rows, cols, trial, i, d, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatVecT(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})

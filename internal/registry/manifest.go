@@ -32,8 +32,8 @@ type VariantSpec struct {
 //
 // Relative model paths are resolved against the manifest file's own
 // directory, so a manifest can ship next to its models. Unknown fields
-// are ignored, so a manifest still loads if it carries the "serve"
-// block of batcher settings older servers read.
+// are ignored, so a manifest that still carries a retired field (such
+// as the old "serve" block) loads unchanged.
 type Manifest struct {
 	Default  string        `json:"default,omitempty"`
 	Variants []VariantSpec `json:"variants"`
