@@ -34,6 +34,12 @@ go test -race ./...
 # intermittently later.
 go test -race -count=20 -shuffle=on ./internal/serve ./internal/router .
 
+# Frame codec fuzz leg: a bounded run of FuzzFrameCodec, which pins the
+# base64 float64 frame line against encoding/json in both directions
+# (every line the server's fast path accepts, encoding/json accepts into
+# the same bits) and the refusal of NaN and ±Inf on both ends.
+go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 15s ./internal/serve
+
 # Server smoke test: train a tiny model, start asrserve on a random
 # port, stream the test set through asrload (both race-built), then
 # SIGTERM and require a clean drain (exit 0). Pins the binaries'

@@ -25,7 +25,6 @@ package router
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -313,8 +312,11 @@ func (r *Router) handle(conn net.Conn) {
 
 	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
-	startLine, err := readLine(br)
+	startLine, err := readLine(br, serve.MaxStartLine)
 	if err != nil {
+		if errors.Is(err, serve.ErrLineTooLong) {
+			r.reply(conn, serve.Reply{Event: serve.EventError, Reason: err.Error()})
+		}
 		return
 	}
 	var req serve.Request
@@ -367,18 +369,18 @@ func (r *Router) splice(client net.Conn, clientR *bufio.Reader, backendConn net.
 	defer backendConn.Close()
 
 	_ = backendConn.SetDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
-	if _, err := backendConn.Write(append(startLine, '\n')); err != nil {
+	if _, err := backendConn.Write(startLine); err != nil {
 		r.reply(client, serve.Reply{Event: serve.EventError, Reason: fmt.Sprintf("backend write: %v", err)})
 		return
 	}
 	backendR := bufio.NewReader(backendConn)
-	replyLine, err := readLine(backendR)
+	replyLine, err := readLine(backendR, serve.MaxReplyLine)
 	if err != nil {
 		r.reply(client, serve.Reply{Event: serve.EventError, Reason: fmt.Sprintf("backend handshake: %v", err)})
 		return
 	}
 	_ = client.SetWriteDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
-	if _, err := client.Write(append(replyLine, '\n')); err != nil {
+	if _, err := client.Write(replyLine); err != nil {
 		return
 	}
 	var rep serve.Reply
@@ -415,7 +417,7 @@ func (r *Router) rejectDraining(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
-	if _, err := readLine(br); err != nil {
+	if _, err := readLine(br, serve.MaxStartLine); err != nil {
 		return
 	}
 	obsLocalRejects.Inc()
@@ -453,11 +455,14 @@ func (r *Router) closeConns() {
 	}
 }
 
-// readLine reads one newline-terminated protocol line.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
+// readLine reads one protocol line of at most limit bytes, under the
+// same cap rules as the server's own reads (serve.ReadLine), and
+// returns a copy with its newline restored, ready to forward.
+func readLine(br *bufio.Reader, limit int) ([]byte, error) {
+	var buf []byte
+	line, err := serve.ReadLine(br, limit, &buf)
 	if err != nil {
 		return nil, err
 	}
-	return bytes.TrimRight(line, "\r\n"), nil
+	return append(append(make([]byte, 0, len(line)+1), line...), '\n'), nil
 }

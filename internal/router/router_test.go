@@ -2,6 +2,7 @@ package router
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -332,4 +333,73 @@ func TestDrainRejectsNewSessions(t *testing.T) {
 	if _, err := serve.Dial(addr.String(), serve.SessionOptions{ID: "late"}); err == nil {
 		t.Error("session admitted after drain")
 	}
+}
+
+// TestOversizeHandshakeRefused pins the router's bounded handshake
+// reads: a start line with no newline in sight is answered with one
+// error reply once serve.MaxStartLine is crossed, a backend whose first
+// reply never ends gets the client an error once serve.MaxReplyLine is
+// crossed, and the router keeps routing after both.
+func TestOversizeHandshakeRefused(t *testing.T) {
+	flood := bytes.Repeat([]byte("7"), 8<<20)
+
+	// A backend that answers every start line with the flood.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+					return // health probe
+				}
+				_, _ = conn.Write(flood) // fails once the router hangs up
+			}()
+		}
+	}()
+	good := newFakeBackend(t, serve.Reply{Event: serve.EventReady})
+
+	refused := func(addr string, payload []byte, want string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			_, _ = conn.Write(payload) // fails once the router hangs up
+		}()
+		var rep serve.Reply
+		if err := json.NewDecoder(conn).Decode(&rep); err != nil {
+			t.Fatalf("no reply: %v", err)
+		}
+		if rep.Event != serve.EventError || !strings.Contains(rep.Reason, want) {
+			t.Fatalf("answered with %+v, want an error containing %q", rep, want)
+		}
+		conn.Close()
+		<-wrote
+	}
+
+	_, addr := startRouter(t, Config{Backends: []string{good.addr()}})
+	refused(addr, flood, "line too long")
+	cs, err := serve.Dial(addr, serve.SessionOptions{ID: "after"})
+	if err != nil {
+		t.Fatalf("session after the endless start line: %v", err)
+	}
+	if _, _, err := cs.Finish(); err != nil {
+		t.Fatalf("session after the endless start line: %v", err)
+	}
+	cs.Close()
+
+	_, floodAddr := startRouter(t, Config{Backends: []string{ln.Addr().String()}})
+	refused(floodAddr, []byte(`{"op":"start","id":"x"}`+"\n"), "backend handshake: line too long")
 }

@@ -66,10 +66,18 @@ type ClientSession struct {
 	conn  net.Conn
 	bw    *bufio.Writer
 	enc   *json.Encoder
-	dec   *json.Decoder
+	br    *bufio.Reader
+	reply []byte // gathers a reply line longer than br's buffer
+	bits  []byte // PushFrame's f64 bits, reused
 	line  []byte // PushFrame's encoded frame, reused
 	model string // resolved variant name from the ready reply
 }
+
+// MaxReplyLine caps every reply line the client reads. Replies are
+// short — the longest is a result's word ids or a reject's variant
+// names — so a server that sends more than this without a newline is
+// broken or hostile, and the session fails instead of buffering it.
+const MaxReplyLine = 1 << 20
 
 // Model returns the variant name the server resolved for this session
 // (the default variant's name when SessionOptions.Model was empty and
@@ -90,7 +98,7 @@ func Dial(addr string, opts SessionOptions) (*ClientSession, error) {
 	cs := &ClientSession{
 		conn: conn,
 		bw:   bufio.NewWriter(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
+		br:   bufio.NewReader(conn),
 	}
 	cs.enc = json.NewEncoder(cs.bw)
 	err = cs.send(Request{
@@ -105,8 +113,8 @@ func Dial(addr string, opts SessionOptions) (*ClientSession, error) {
 		conn.Close()
 		return nil, err
 	}
-	var rep Reply
-	if err := cs.dec.Decode(&rep); err != nil {
+	rep, err := cs.readReply()
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("serve: reading admission reply: %w", err)
 	}
@@ -131,18 +139,20 @@ func Dial(addr string, opts SessionOptions) (*ClientSession, error) {
 // PushFrame streams one spliced feature vector, one write per frame.
 // Replies (partials, errors) are not read here — the stream stays
 // write-only until Finish, so frames pipeline without a per-frame
-// round trip. The line is encoded without reflection into a reused
-// buffer, byte for byte what encoding/json would write; a NaN or ±Inf
-// feature is an error and nothing is sent.
+// round trip. The features travel as base64 float64 bits, encoded
+// without reflection into reused buffers, byte for byte what
+// encoding/json would write for Request{Op: OpFrame, F64: bits}; a
+// NaN or ±Inf feature is an error and nothing is sent.
 func (cs *ClientSession) PushFrame(frame []float64) error {
-	line, err := appendFrame(cs.line[:0], frame)
+	bits, err := appendBits(cs.bits[:0], frame)
 	if err != nil {
 		return err
 	}
-	cs.line = line
+	cs.bits = bits
+	cs.line = appendFrame(cs.line[:0], bits)
 	// Straight to the socket: send flushes bw after every message, so
 	// nothing buffered can be overtaken.
-	_, err = cs.conn.Write(line)
+	_, err = cs.conn.Write(cs.line)
 	return err
 }
 
@@ -155,8 +165,8 @@ func (cs *ClientSession) Finish() (Reply, []Reply, error) {
 		return Reply{}, nil, err
 	}
 	for {
-		var rep Reply
-		if err := cs.dec.Decode(&rep); err != nil {
+		rep, err := cs.readReply()
+		if err != nil {
 			return Reply{}, partials, fmt.Errorf("serve: reading result: %w", err)
 		}
 		switch rep.Event {
@@ -174,6 +184,18 @@ func (cs *ClientSession) Finish() (Reply, []Reply, error) {
 
 // Close releases the connection; safe after Finish or on error paths.
 func (cs *ClientSession) Close() error { return cs.conn.Close() }
+
+// readReply reads and decodes one reply line of at most MaxReplyLine
+// bytes.
+func (cs *ClientSession) readReply() (Reply, error) {
+	line, err := ReadLine(cs.br, MaxReplyLine, &cs.reply)
+	if err != nil {
+		return Reply{}, err
+	}
+	var rep Reply
+	err = json.Unmarshal(line, &rep)
+	return rep, err
+}
 
 func (cs *ClientSession) send(req Request) error {
 	if err := cs.enc.Encode(req); err != nil {

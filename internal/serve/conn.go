@@ -16,20 +16,22 @@ import (
 	"repro/internal/registry"
 )
 
-// maxStartLine caps the start line, read before admission: a handshake
-// is a few short strings and numbers, so anything longer is refused
-// before it can cost memory.
-const maxStartLine = 4 << 10
+// MaxStartLine caps the start line, read before admission: a
+// handshake is a few short strings and numbers, so anything longer is
+// refused before it can cost memory. The router reads start lines
+// under the same cap.
+const MaxStartLine = 4 << 10
 
 // frameLineCap caps every line after admission. It is derived from the
-// pinned plan's input width: the canonical encoding spends at most 25
-// bytes and a comma per feature, so 32 per feature plus slack for the
-// envelope and for other JSON encoders' spacing never refuses a frame
-// a client can honestly send.
+// pinned plan's input width: the text encoding of a frame, which the
+// server still accepts, spends at most 25 bytes and a comma per
+// feature, so 32 per feature plus slack for the envelope and for other
+// JSON encoders' spacing never refuses a frame a client can honestly
+// send. The canonical base64 line needs under 11 per feature.
 func frameLineCap(inDim int) int { return 1<<10 + 32*inDim }
 
-// errLineTooLong ends a session whose next line exceeds its cap.
-var errLineTooLong = errors.New("request line too long")
+// ErrLineTooLong is the error ReadLine returns for a line over its cap.
+var ErrLineTooLong = errors.New("line too long")
 
 // session is the per-connection state of one streaming decode.
 type session struct {
@@ -69,9 +71,9 @@ func (s *Server) handle(conn net.Conn) {
 	// The start message is read under the idle timeout so a dialed-
 	// but-silent connection cannot hold a handler goroutine forever.
 	var startBuf []byte
-	line, err := c.readLine(maxStartLine, &startBuf)
+	line, err := c.readLine(MaxStartLine, &startBuf)
 	if err != nil {
-		if errors.Is(err, errLineTooLong) {
+		if errors.Is(err, ErrLineTooLong) {
 			obsErrors.Inc()
 			_ = c.reply(Reply{Event: EventError, Reason: err.Error()})
 		}
@@ -229,28 +231,50 @@ func (c *session) end(final *Reply) {
 }
 
 // next reads and parses the next request line. A frame in the
-// canonical shape is parsed in place into the pooled data slice;
-// anything else goes through encoding/json.
+// canonical shape is decoded in place into the pooled buffers; any
+// other line goes through encoding/json. A frame that arrives as bits
+// comes back with its features in Data either way.
 func (c *session) next() (Request, error) {
 	line, err := c.readLine(c.lineCap, &c.p.line)
 	if err != nil {
 		return Request{}, err
 	}
-	if data, ok := parseFrame(line, c.p.data); ok {
-		c.p.data = data
-		return Request{Op: OpFrame, Data: data}, nil
+	if bits, ok := parseFrame(line, c.p.bits); ok {
+		c.p.bits = bits
+		return c.features(bits)
 	}
 	var req Request
-	err = json.Unmarshal(line, &req)
-	return req, err
+	if err := json.Unmarshal(line, &req); err != nil {
+		return Request{}, err
+	}
+	if req.Op == OpFrame && req.F64 != nil {
+		if req.Data != nil {
+			return Request{}, errors.New("frame carries both data and f64")
+		}
+		return c.features(req.F64)
+	}
+	return req, nil
+}
+
+// features turns a frame's f64 bits into its features, in the pooled
+// data buffer. The bits must hold exactly the plan's input width, and
+// every value must be finite.
+func (c *session) features(bits []byte) (Request, error) {
+	if len(bits) != 8*c.inDim {
+		return Request{}, fmt.Errorf("frame has %d bytes of f64 bits, model wants %d (%d features)", len(bits), 8*c.inDim, c.inDim)
+	}
+	data, err := appendFeatures(c.p.data[:0], bits)
+	c.p.data = data
+	if err != nil {
+		return Request{}, err
+	}
+	return Request{Op: OpFrame, Data: data}, nil
 }
 
 // readLine returns the next non-blank line without its newline, under
 // the idle timeout and the session deadline, mapping their expiry to a
-// deadline error. A line longer than limit is refused with
-// errLineTooLong once limit bytes have been read, so the connection
-// never holds more than that. Lines longer than the read buffer are
-// gathered in *buf; the result is valid until the next call.
+// deadline error. The line is read by ReadLine under limit; the result
+// is valid until the next call.
 func (c *session) readLine(limit int, buf *[]byte) ([]byte, error) {
 	expiry := time.Now().Add(c.srv.cfg.IdleTimeout)
 	if !c.deadline.IsZero() && c.deadline.Before(expiry) {
@@ -258,7 +282,7 @@ func (c *session) readLine(limit int, buf *[]byte) ([]byte, error) {
 	}
 	_ = c.conn.SetReadDeadline(expiry)
 	for {
-		line, err := c.gather(limit, buf)
+		line, err := ReadLine(c.br, limit, buf)
 		if err != nil {
 			if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
 				return nil, context.DeadlineExceeded
@@ -277,18 +301,22 @@ func (c *session) readLine(limit int, buf *[]byte) ([]byte, error) {
 	}
 }
 
-// gather reads one line, newline dropped, of at most limit bytes. A
-// final line cut short by EOF counts as a line.
-func (c *session) gather(limit int, buf *[]byte) ([]byte, error) {
+// ReadLine reads one line from br, newline dropped, of at most limit
+// bytes. A longer line is refused with ErrLineTooLong once limit bytes
+// have been read, so the caller never holds more than that, whether
+// or not a newline ever comes. A final line cut short by EOF counts as
+// a line. Lines longer than br's buffer are gathered in *buf; the
+// result is valid until the next read from br.
+func ReadLine(br *bufio.Reader, limit int, buf *[]byte) ([]byte, error) {
 	*buf = (*buf)[:0]
 	for {
-		frag, err := c.br.ReadSlice('\n')
+		frag, err := br.ReadSlice('\n')
 		n := len(*buf) + len(frag)
 		if err == nil {
 			n-- // the newline
 		}
 		if n > limit {
-			return nil, fmt.Errorf("%w: over %d bytes", errLineTooLong, limit)
+			return nil, fmt.Errorf("%w: over %d bytes", ErrLineTooLong, limit)
 		}
 		switch {
 		case err == nil && len(*buf) == 0:

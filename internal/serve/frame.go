@@ -1,141 +1,87 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 )
 
 // The frame codec. Frames are the one message sent once per 10 ms of
-// audio, so both ends encode and parse them by hand instead of through
-// encoding/json's reflection. The bytes are exactly what encoding/json
-// writes for Request{Op: OpFrame, Data: x}: the wire stays one NDJSON
-// protocol for the router, non-Go clients and docs/SERVING.md, and
-// FuzzFrameCodec pins both directions against encoding/json.
+// audio, so they carry their features as raw little-endian IEEE-754
+// bytes in Request.F64, and no float is formatted or parsed on either
+// end. encoding/json writes a []byte field as standard base64, so the
+// line appendFrame writes is byte for byte what json.Marshal writes
+// for Request{Op: OpFrame, F64: bits}: the wire stays one NDJSON
+// protocol for the router and docs/SERVING.md, and FuzzFrameCodec pins
+// both directions against encoding/json.
 
 const (
-	framePrefix = `{"op":"frame","data":[`
-	frameSuffix = `]}`
+	framePrefix = `{"op":"frame","f64":"`
+	frameSuffix = `"}`
 )
 
-// appendFrame appends the line encoding/json encodes for
-// Request{Op: OpFrame, Data: frame}, newline included. Like
-// json.Marshal it refuses NaN and ±Inf, and then appends nothing.
-func appendFrame(b []byte, frame []float64) ([]byte, error) {
-	if len(frame) == 0 {
-		return append(b, `{"op":"frame"}`+"\n"...), nil // data is omitempty
-	}
+// appendBits appends frame's features as little-endian float64 bits.
+// NaN and ±Inf are refused, and then nothing is appended: the server
+// refuses them too, so sending one could only end the session.
+func appendBits(b []byte, frame []float64) ([]byte, error) {
 	for i, f := range frame {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return b, fmt.Errorf("serve: frame value %d is %v, which JSON cannot encode", i, f)
+			return b, fmt.Errorf("serve: frame value %d is %v, not a finite feature", i, f)
 		}
+	}
+	for _, f := range frame {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b, nil
+}
+
+// appendFrame appends the line encoding/json encodes for
+// Request{Op: OpFrame, F64: bits}, newline included.
+func appendFrame(b, bits []byte) []byte {
+	if len(bits) == 0 {
+		return append(b, `{"op":"frame"}`+"\n"...) // f64 is omitempty
 	}
 	b = append(b, framePrefix...)
-	for i, f := range frame {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendFloat(b, f)
-	}
-	return append(b, frameSuffix+"\n"...), nil
+	b = base64.StdEncoding.AppendEncode(b, bits)
+	return append(b, frameSuffix+"\n"...)
 }
 
-// appendFloat formats f by encoding/json's float64 rules: the shortest
-// representation that round-trips, in 'f' notation unless the
-// magnitude is below 1e-6 or at least 1e21, with a negative exponent's
-// leading zero dropped (1e-07 → 1e-7).
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// parseFrame parses a line (newline stripped) of exactly the shape
-// appendFrame writes into dst[:0], and reports whether it did. Every
-// number must match JSON's number grammar and parse to a float64 in
-// range. Any other line — another op, other or reordered keys,
-// whitespace, an empty array, a malformed or overflowing number —
-// reports false, and the caller hands it to encoding/json, which
-// decides about it as it does about every other message.
-func parseFrame(line []byte, dst []float64) ([]float64, bool) {
+// parseFrame decodes a line (newline stripped) of exactly the shape
+// appendFrame writes, appending its bytes to dst[:0], and reports
+// whether it did. Any other line — another op, other or reordered
+// keys, whitespace, escapes, invalid base64 — reports false, and the
+// caller hands it to encoding/json, which decides about it as it does
+// about every other message. A '\r' is refused here although the
+// base64 decoder would skip it: JSON forbids it inside a string.
+func parseFrame(line, dst []byte) ([]byte, bool) {
 	if len(line) < len(framePrefix)+len(frameSuffix) ||
 		string(line[:len(framePrefix)]) != framePrefix ||
 		string(line[len(line)-len(frameSuffix):]) != frameSuffix {
 		return dst, false
 	}
-	rest := line[len(framePrefix) : len(line)-len(frameSuffix)]
-	dst = dst[:0]
-	for {
-		n := numberLen(rest)
-		if n == 0 {
-			return dst, false
-		}
-		f, err := strconv.ParseFloat(string(rest[:n]), 64)
-		if err != nil {
-			return dst, false
+	payload := line[len(framePrefix) : len(line)-len(frameSuffix)]
+	if bytes.IndexByte(payload, '\r') >= 0 {
+		return dst, false
+	}
+	bits, err := base64.StdEncoding.AppendDecode(dst[:0], payload)
+	if err != nil {
+		return dst, false
+	}
+	return bits, true
+}
+
+// appendFeatures appends the float64s whose little-endian bits are
+// bits (len a multiple of 8) to dst. A NaN or ±Inf is an error: the
+// text encoding cannot carry one, and neither may the bits.
+func appendFeatures(dst []float64, bits []byte) ([]float64, error) {
+	for i := 0; i+8 <= len(bits); i += 8 {
+		f := math.Float64frombits(binary.LittleEndian.Uint64(bits[i:]))
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return dst, fmt.Errorf("frame value %d is %v, not a finite feature", i/8, f)
 		}
 		dst = append(dst, f)
-		if n == len(rest) {
-			return dst, true
-		}
-		if rest[n] != ',' {
-			return dst, false
-		}
-		rest = rest[n+1:]
 	}
-}
-
-// numberLen returns the length of the JSON number at the start of b —
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or 0 if there is
-// none. strconv.ParseFloat alone would also take hex floats, "NaN",
-// "Inf", "+1" and ".5", none of which are JSON.
-func numberLen(b []byte) int {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return 0
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		j := i + 1
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		k := digits(b, j)
-		if k == j {
-			return 0
-		}
-		i = k
-	}
-	return i
-}
-
-// digits returns the index of the first non-digit in b at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	return dst, nil
 }

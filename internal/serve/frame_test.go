@@ -41,15 +41,17 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// FuzzFrameCodec pins the hand-rolled frame codec against encoding/json,
-// reading each input two ways:
+// FuzzFrameCodec pins the frame codec against encoding/json, reading
+// each input two ways:
 //
-//   - as float64 bits: for a finite vector, appendFrame's bytes equal
-//     json.Marshal(Request{Op: OpFrame, Data: x}) plus a newline and
-//     parse back to x; a NaN or ±Inf makes appendFrame fail with
-//     nothing appended, as json.Marshal fails;
+//   - as float64 bits: for a finite vector, appendBits returns exactly
+//     those bits, appendFrame's line equals
+//     json.Marshal(Request{Op: OpFrame, F64: bits}) plus a newline, and
+//     the line parses back to the same floats bit for bit; a NaN or
+//     ±Inf makes appendBits fail with nothing appended, and the
+//     server's appendFeatures refuses the raw bits;
 //   - as a line: whatever parseFrame accepts, json.Unmarshal also
-//     accepts, into a bit-identical Request.
+//     accepts, into a Request holding the same bits and nothing else.
 func FuzzFrameCodec(f *testing.F) {
 	special := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 1e-7, 9.99999e-7, 1e20,
@@ -65,76 +67,92 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(floatBytes(1, math.NaN()))
 	f.Add(floatBytes(math.Inf(1)))
 	f.Add(floatBytes(-2, math.Inf(-1)))
+	canonical := string(appendFrame(nil, floatBytes(0.25, -1.5)))
+	canonical = canonical[:len(canonical)-1]
 	for _, line := range []string{
+		canonical,
+		`{"op":"frame","f64":"AAAAAAAA0D8="}`,
+		`{"op":"frame","f64":"AAAAAAAA0D8"}`,
+		`{"op":"frame","f64":"AAAAAAAA0D8=="}`,
+		`{"op":"frame","f64":"AAAAAAAA\r0D8="}`,
+		"{\"op\":\"frame\",\"f64\":\"AAAAAAAA\r0D8=\"}",
+		"{\"op\":\"frame\",\"f64\":\"AAAAAAAA0D8=\r\"}",
+		`{"op":"frame","f64":"AAAAAAAA\/0D8="}`,
+		`{"op":"frame","f64":"AAAAAAAA\u00410D8="}`,
+		`{"op":"frame","f64":"AAAA"AAAA0D8="}`,
+		`{"op":"frame","f64":"!!!!"}`,
+		`{"op":"frame","f64":""}`,
+		`{"op":"frame","f64":"AAAAAAAA0D8="}}`,
+		`{"op":"frame","f64":"AAAAAAAA0D8="} `,
+		`{"op":"frame","f64":"AAAAAAAA0D9="}`,
+		`{"op":"frame","f64":"AAAAAAAA-D8="}`,
+		`{"op":"frame","f64":"AAAAAAAA_D8="}`,
+		`{"op":"frame","f64":"AAAA","f64":"AAAAAAAA0D8="}`,
+		`{"op":"frame","f64":null}`,
+		`{"op":"frame","f64":"AAAAAAAA0D8=","data":[1]}`,
+		`{"op":"frame", "f64":"AAAAAAAA0D8="}`,
+		`{"f64":"AAAAAAAA0D8=","op":"frame"}`,
 		`{"op":"frame","data":[1,2.5,-0,1e-7]}`,
-		`{"op":"frame","data":[0x1p-2]}`,
-		`{"op":"frame","data":[NaN]}`,
-		`{"op":"frame","data":[Infinity]}`,
-		`{"op":"frame","data":[-Infinity]}`,
-		`{"op":"frame","data":[+1]}`,
-		`{"op":"frame","data":[.5]}`,
-		`{"op":"frame","data":[5.]}`,
-		`{"op":"frame","data":[1E5,1e+5,1E-5]}`,
-		`{"op":"frame","data":[1e400]}`,
-		`{"op":"frame","data":[1e-400]}`,
-		`{"op":"frame","data":[01]}`,
-		`{"op":"frame","data":[-]}`,
-		`{"op":"frame","data":[1,]}`,
-		`{"op":"frame","data":[1 ,2]}`,
-		`{"op":"frame","data":[ 1]}`,
-		`{"op":"frame", "data":[1]}`,
-		`{"data":[1],"op":"frame"}`,
-		`{"op":"frame","data":[]}`,
 		`{"op":"frame"}`,
 		`{"op":"finish"}`,
-		`{"op":"frame","data":[1_000]}`,
-		`{"op":"frame","data":[1]}}`,
 	} {
 		f.Add([]byte(line))
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// The input as a line.
-		if data, ok := parseFrame(in, nil); ok {
+		if bits, ok := parseFrame(in, nil); ok {
 			var req Request
 			if err := json.Unmarshal(in, &req); err != nil {
 				t.Fatalf("fast path accepted %q, encoding/json refuses it: %v", in, err)
 			}
-			if !sameFloats(req.Data, data) {
-				t.Fatalf("%q: fast path %v, encoding/json %v", in, data, req.Data)
+			if !bytes.Equal(req.F64, bits) {
+				t.Fatalf("%q: fast path %x, encoding/json %x", in, bits, req.F64)
 			}
-			req.Data = nil
+			req.F64 = nil
 			if fmt.Sprintf("%+v", req) != fmt.Sprintf("%+v", Request{Op: OpFrame}) {
-				t.Fatalf("%q: encoding/json decoded %+v beside the data", in, req)
+				t.Fatalf("%q: encoding/json decoded %+v beside the bits", in, req)
 			}
 		}
 
 		// The input as float64 bits.
-		x := make([]float64, len(in)/8)
+		raw := in[:len(in)/8*8]
+		x := make([]float64, len(raw)/8)
 		finite := true
 		for i := range x {
-			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 			finite = finite && !math.IsNaN(x[i]) && !math.IsInf(x[i], 0)
 		}
 		prefix := []byte("prefix")
-		got, err := appendFrame(prefix, x)
-		want, jerr := json.Marshal(Request{Op: OpFrame, Data: x})
+		got, err := appendBits(prefix, x)
 		if !finite {
-			if err == nil || jerr == nil || len(got) != len(prefix) {
-				t.Fatalf("non-finite %v: appendFrame err %v, wrote %q; json.Marshal err %v", x, err, got[len(prefix):], jerr)
+			if err == nil || len(got) != len(prefix) {
+				t.Fatalf("non-finite %v: appendBits err %v, wrote %x", x, err, got[len(prefix):])
+			}
+			if _, err := appendFeatures(nil, raw); err == nil {
+				t.Fatalf("non-finite %v: appendFeatures accepts the bits", x)
 			}
 			return
 		}
-		if err != nil || jerr != nil {
-			t.Fatalf("%v: appendFrame err %v, json.Marshal err %v", x, err, jerr)
+		if err != nil || !bytes.Equal(got[len(prefix):], raw) {
+			t.Fatalf("%v: appendBits %x, %v; want %x", x, got[len(prefix):], err, raw)
 		}
-		if !bytes.Equal(got[len(prefix):], append(want, '\n')) {
-			t.Fatalf("%v:\nappendFrame %q\njson        %q", x, got[len(prefix):], want)
+		line := appendFrame(prefix, raw)[len(prefix):]
+		want, err := json.Marshal(Request{Op: OpFrame, F64: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, append(want, '\n')) {
+			t.Fatalf("%v:\nappendFrame %q\njson        %q", x, line, want)
 		}
 		if len(x) > 0 {
-			back, ok := parseFrame(got[len(prefix):len(got)-1], nil)
-			if !ok || !sameFloats(back, x) {
-				t.Fatalf("%v: encoded line does not parse back (ok %v, got %v)", x, ok, back)
+			back, ok := parseFrame(line[:len(line)-1], nil)
+			if !ok || !bytes.Equal(back, raw) {
+				t.Fatalf("%v: encoded line does not parse back (ok %v, got %x)", x, ok, back)
+			}
+			feats, err := appendFeatures(nil, back)
+			if err != nil || !sameFloats(feats, x) {
+				t.Fatalf("%v: bits unpack to %v, %v", x, feats, err)
 			}
 		}
 	})
@@ -173,9 +191,11 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	frames := speech.SpliceAll(f.utts[0].Frames, f.topo.Context)
 	var stream []byte
 	for _, fr := range frames {
-		if stream, err = appendFrame(stream, fr); err != nil {
+		bits, err := appendBits(nil, fr)
+		if err != nil {
 			t.Fatal(err)
 		}
+		stream = appendFrame(stream, bits)
 	}
 	v, _ := srv.Registry().Resolve("")
 	conn := &replayConn{stream: stream}
@@ -220,15 +240,15 @@ func TestOversizeLineRefused(t *testing.T) {
 	defer stop()
 
 	flood := bytes.Repeat([]byte("7"), 8<<20)
-	refused := func(conn net.Conn, replies *json.Decoder) {
+	refused := func(conn net.Conn, next func() (Reply, error)) {
 		t.Helper()
 		wrote := make(chan struct{})
 		go func() {
 			defer close(wrote)
 			_, _ = conn.Write(flood) // fails once the server hangs up
 		}()
-		var rep Reply
-		if err := replies.Decode(&rep); err != nil {
+		rep, err := next()
+		if err != nil {
 			t.Fatalf("no reply to an endless line: %v", err)
 		}
 		if rep.Event != EventError || !strings.Contains(rep.Reason, "too long") {
@@ -242,13 +262,14 @@ func TestOversizeLineRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused(cs.conn, cs.dec)
+	refused(cs.conn, cs.readReply)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused(conn, json.NewDecoder(conn))
+	raw := json.NewDecoder(conn)
+	refused(conn, func() (rep Reply, err error) { return rep, raw.Decode(&rep) })
 
 	if got := srv.Served(); got != 0 {
 		t.Errorf("Served() = %d after refused sessions, want 0", got)
@@ -290,8 +311,168 @@ func TestReadLine(t *testing.T) {
 		t.Fatalf("after the last line: %q, %v; want EOF", line, err)
 	}
 	for _, in := range []string{long + "\n", long} {
-		if line, err := reader(in).readLine(len(long)-1, &buf); !errors.Is(err, errLineTooLong) {
-			t.Errorf("%d-byte line over a %d-byte limit: %q, %v; want errLineTooLong", len(long), len(long)-1, line, err)
+		if line, err := reader(in).readLine(len(long)-1, &buf); !errors.Is(err, ErrLineTooLong) {
+			t.Errorf("%d-byte line over a %d-byte limit: %q, %v; want ErrLineTooLong", len(long), len(long)-1, line, err)
 		}
+	}
+}
+
+// TestFrameBitsRefused pins the server's checks on frames sent as
+// bits: non-finite values, a payload one byte short, invalid base64
+// and a frame carrying both encodings each end the session in exactly
+// one error reply, the session does not count as served, and its
+// admission slot is free again.
+func TestFrameBitsRefused(t *testing.T) {
+	f := newFixture(t)
+	srv, addr, stop := f.start(t, func(c *Config) { c.MaxSessions = 1 })
+	defer stop()
+
+	frames, want := f.reference(f.utts[0])
+	good := frames[0]
+	withValue := func(v float64) string {
+		fr := append([]float64(nil), good...)
+		fr[len(fr)/2] = v
+		return string(appendFrame(nil, floatBytes(fr...)))
+	}
+	both, err := json.Marshal(Request{Op: OpFrame, Data: good, F64: floatBytes(good...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, line, reason string }{
+		{"NaN", withValue(math.NaN()), "not a finite feature"},
+		{"+Inf", withValue(math.Inf(1)), "not a finite feature"},
+		{"-Inf", withValue(math.Inf(-1)), "not a finite feature"},
+		{"short", string(appendFrame(nil, floatBytes(good...)[:8*len(good)-1])), "bytes of f64 bits"},
+		{"base64", `{"op":"frame","f64":"!!!!"}` + "\n", "illegal base64"},
+		{"both", string(both) + "\n", "both data and f64"},
+	} {
+		cs, err := Dial(addr, SessionOptions{ID: tc.name})
+		if err != nil {
+			t.Fatalf("%s: slot not free: %v", tc.name, err)
+		}
+		if err := cs.PushFrame(good); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.conn.Write([]byte(tc.line)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := cs.readReply()
+		if err != nil || rep.Event != EventError || !strings.Contains(rep.Reason, tc.reason) {
+			t.Fatalf("%s: answered with %+v, %v; want an error naming %q", tc.name, rep, err, tc.reason)
+		}
+		if rep, err := cs.readReply(); err != io.EOF {
+			t.Fatalf("%s: after the error reply: %+v, %v; want EOF", tc.name, rep, err)
+		}
+		cs.Close()
+		if got := srv.Served(); got != 0 {
+			t.Fatalf("%s: Served() = %d after a refused frame, want 0", tc.name, got)
+		}
+	}
+
+	rep, _, err := decodeRemote(addr, frames, SessionOptions{ID: "after"})
+	if err != nil {
+		t.Fatalf("session after the refused ones: %v", err)
+	}
+	if rep.OK != want.OK || math.Float64bits(rep.Cost) != math.Float64bits(want.Cost) {
+		t.Errorf("session after the refused ones: (%v, %v) != local (%v, %v)", rep.OK, rep.Cost, want.OK, want.Cost)
+	}
+}
+
+// TestTextFramesMatchBits pins the debug path: a raw-socket session
+// sending the documented {"op":"frame","data":[…]} lines gets a result
+// line byte-identical to the one a ClientSession, which sends bits,
+// gets for the same utterance.
+func TestTextFramesMatchBits(t *testing.T) {
+	f := newFixture(t)
+	_, addr, stop := f.start(t, nil)
+	defer stop()
+
+	for i, u := range f.utts[:4] {
+		frames, want := f.reference(u)
+		rep, _, err := decodeRemote(addr, frames, SessionOptions{ID: "bits"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsLine, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := json.NewEncoder(conn)
+		if err := enc.Encode(Request{Op: OpStart, ID: "text"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range frames {
+			if err := enc.Encode(Request{Op: OpFrame, Data: fr}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Encode(Request{Op: OpFinish}); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		ready, err := br.ReadString('\n')
+		if err != nil || !strings.Contains(ready, `"event":"ready"`) {
+			t.Fatalf("utt %d: text session not admitted: %q, %v", i, ready, err)
+		}
+		textLine, err := br.ReadBytes('\n')
+		conn.Close()
+		if err != nil {
+			t.Fatalf("utt %d: text session: %v", i, err)
+		}
+		if !bytes.Equal(bytes.TrimSuffix(textLine, []byte("\n")), bitsLine) {
+			t.Fatalf("utt %d: text frames gave\n%s\nbits gave\n%s", i, textLine, bitsLine)
+		}
+		if rep.OK != want.OK || math.Float64bits(rep.Cost) != math.Float64bits(want.Cost) {
+			t.Fatalf("utt %d: served (%v, %v) != local (%v, %v)", i, rep.OK, rep.Cost, want.OK, want.Cost)
+		}
+	}
+}
+
+// TestClientReplyCapped pins the client's bounded reply reader: a
+// server that sends 8 MiB with no newline — as the admission reply or
+// after it — makes Dial or Finish fail with ErrLineTooLong once
+// MaxReplyLine bytes are read, instead of buffering the flood.
+func TestClientReplyCapped(t *testing.T) {
+	flood := bytes.Repeat([]byte("7"), 8<<20)
+	for _, admit := range []bool{false, true} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+				return
+			}
+			if admit {
+				_, _ = conn.Write([]byte(`{"event":"ready"}` + "\n"))
+			}
+			_, _ = conn.Write(flood) // fails once the client hangs up
+		}()
+
+		cs, err := Dial(ln.Addr().String(), SessionOptions{})
+		if admit {
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			_, _, err = cs.Finish()
+			cs.Close()
+		}
+		if !errors.Is(err, ErrLineTooLong) {
+			t.Errorf("admit %v: flood answered with %v, want ErrLineTooLong", admit, err)
+		}
+		<-served
+		ln.Close()
 	}
 }

@@ -9,7 +9,8 @@ package serve
 //
 //	{"op":"start","id":"utt-3","model":"tiny-sparse","deadline_ms":30000,"partial_every":8}
 //	{"op":"start","id":"utt-4","control":{"target_occupancy":32,"min_beam":8,"max_beam":15}}
-//	{"op":"frame","data":[...]}        // spliced features, len = InDim
+//	{"op":"frame","f64":"AAAAAAAA0D8..."} // spliced features, 8·InDim bytes of float64 bits
+//	{"op":"frame","data":[0.25,...]}       // the same as JSON numbers (debug clients)
 //	{"op":"finish"}
 //
 // Server → client:
@@ -62,7 +63,12 @@ type Request struct {
 	// answered with a permanent structured reject before admission.
 	Control *control.Config `json:"control,omitempty"`
 
-	// frame field: one spliced feature vector, len = network InDim.
+	// frame fields: one spliced feature vector, len = network InDim.
+	// F64 carries it as little-endian IEEE-754 bits, 8 bytes per
+	// feature (base64 on the wire, as encoding/json writes []byte); it
+	// is what ClientSession sends. Data carries it as JSON numbers, for
+	// debug and non-Go clients. A frame carries one or the other.
+	F64  []byte    `json:"f64,omitempty"`
 	Data []float64 `json:"data,omitempty"`
 }
 

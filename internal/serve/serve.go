@@ -158,7 +158,8 @@ type pooled struct {
 	dec    *decoder.Session
 	exec   *dnn.Exec
 	line   []byte    // gathers a request line longer than the read buffer
-	data   []float64 // the frame fast path parses into this
+	bits   []byte    // a frame's f64 bits, decoded from base64
+	data   []float64 // a frame's features, unpacked from bits
 	scores []float64 // log-posteriors, len = plan OutDim
 }
 
