@@ -665,22 +665,6 @@ func BenchmarkLazyCompositionDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamingDecode(b *testing.B) {
-	sys := benchSystem(b)
-	scores := sys.Scores(0)[0]
-	cfg := decoder.Config{Beam: asr.DefaultBeam, AcousticScale: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := sys.Decoder.NewStream(cfg)
-		for _, f := range scores {
-			if err := st.Push(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st.Finish()
-	}
-}
-
 func BenchmarkFFT512(b *testing.B) {
 	rng := mat.NewRNG(12)
 	x := make([]complex128, 512)

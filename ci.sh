@@ -40,6 +40,12 @@ go test -race -count=20 -shuffle=on ./internal/serve ./internal/router .
 # the same bits) and the refusal of NaN and ±Inf on both ends.
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 15s ./internal/serve
 
+# Kernel fuzz leg: a bounded run of FuzzKernels, the differential
+# dense == sparse == bsr check on random shapes and masks. It is the
+# float kernels' one bit-identity check beyond the fixed-shape plan
+# tests; the test run above only replays its seed corpus.
+go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime 15s ./internal/dnn
+
 # Server smoke test: train a tiny model, start asrserve on a random
 # port, stream the test set through asrload (both race-built), then
 # SIGTERM and require a clean drain (exit 0). Pins the binaries'

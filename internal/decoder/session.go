@@ -24,8 +24,8 @@ var (
 // Session is one in-flight decode: it owns the mutable search state —
 // the hypothesis store, the live token maps, the token/word arenas,
 // and (via Config.Probe) the accelerator probe — while sharing the
-// immutable Decoder and graph. Both the batch Decode and the
-// incremental Stream are thin layers over a Session.
+// immutable Decoder and graph. The batch Decode is a thin loop over a
+// Session; incremental callers drive one directly with PushFrame.
 //
 // Goroutine-safety contract (the engine layer relies on this):
 //

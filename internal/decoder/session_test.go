@@ -210,3 +210,27 @@ func TestSessionPartialAfterFinish(t *testing.T) {
 		t.Fatalf("Partial after Finish = (%v, %v), want (nil, false)", words, final)
 	}
 }
+
+// TestSessionPartial pins mid-stream Partial: the hypothesis is
+// readable after every frame, and reading it does not perturb the
+// final result against a batch Decode over the same frames.
+func TestSessionPartial(t *testing.T) {
+	d := New(toyGraph())
+	s := d.Start(DefaultConfig())
+	scores := scoresFor([]int{0, 0, 1, 1}, 4, 8)
+	for i, frame := range scores {
+		if err := s.PushFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+		words, _ := s.Partial()
+		// word 0 is hypothesized from the first frame (olabel on entry)
+		if i >= 1 && (len(words) == 0 || words[0] != 0) {
+			t.Fatalf("frame %d: partial = %v", i, words)
+		}
+	}
+	res := s.Finish()
+	if !res.OK || res.Words[0] != 0 {
+		t.Fatalf("final result %v", res.Words)
+	}
+	requireSameResult(t, d.Decode(scores, DefaultConfig()), res)
+}

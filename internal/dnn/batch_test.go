@@ -32,15 +32,16 @@ func maskSmallest(net *Network, fraction float64) {
 	}
 }
 
-// TestForwardBatchBitIdentical is the batching-equivalence property
-// of the batched entry points: log-posteriors computed through
-// LogPosteriorsBatch over an interleaved, shuffled mix of frames from
-// several simulated sessions must be bit-identical
-// (Float64bits equal) to scoring each frame alone with LogPosteriors,
-// at every pruning level and for every batch size.
+// TestForwardBatchBitIdentical pins Exec.LogPosteriorsBatch, the
+// batched entry point the benchmark's probes call: over an
+// interleaved, shuffled mix of frames from several simulated sessions
+// it must be bit-identical (Float64bits equal) to scoring each frame
+// alone with LogPosteriors, on every float backend, at every pruning
+// level and for every batch size. A dst/ins length mismatch panics.
 func TestForwardBatchBitIdentical(t *testing.T) {
 	topo := Topology{FeatDim: 6, Context: 1, Hidden: 24, PoolGroup: 4, HiddenBlocks: 2, Senones: 15}
 	rng := mat.NewRNG(99)
+	backends := []Backend{BackendAuto, BackendDense, BackendSparse, BackendBSR}
 
 	for _, prune := range []float64{0, 0.5, 0.9} {
 		net := topo.Build(mat.NewRNG(7))
@@ -68,28 +69,37 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 			net.LogPosteriors(want[i], in)
 		}
 
-		for _, batchSize := range []int{1, 3, 7, len(frames)} {
-			got := make([][]float64, len(frames))
-			for i := range got {
-				got[i] = make([]float64, topo.Senones)
-			}
-			for lo := 0; lo < len(frames); lo += batchSize {
-				hi := lo + batchSize
-				if hi > len(frames) {
-					hi = len(frames)
+		for _, backend := range backends {
+			ex := Compile(net, PlanConfig{Backend: backend}).NewExec()
+			for _, batchSize := range []int{1, 3, 7, len(frames)} {
+				got := make([][]float64, len(frames))
+				for i := range got {
+					got[i] = make([]float64, topo.Senones)
 				}
-				net.LogPosteriorsBatch(got[lo:hi], frames[lo:hi])
-			}
-			for i := range want {
-				for k := range want[i] {
-					if math.Float64bits(want[i][k]) != math.Float64bits(got[i][k]) {
-						t.Fatalf("prune %.0f%% batch %d: frame %d senone %d: %v != %v",
-							100*prune, batchSize, i, k, got[i][k], want[i][k])
+				for lo := 0; lo < len(frames); lo += batchSize {
+					hi := min(lo+batchSize, len(frames))
+					ex.LogPosteriorsBatch(got[lo:hi], frames[lo:hi])
+				}
+				for i := range want {
+					for k := range want[i] {
+						if math.Float64bits(want[i][k]) != math.Float64bits(got[i][k]) {
+							t.Fatalf("%s prune %.0f%% batch %d: frame %d senone %d: %v != %v",
+								backend, 100*prune, batchSize, i, k, got[i][k], want[i][k])
+						}
 					}
 				}
 			}
 		}
 	}
+
+	ex := Compile(topo.Build(mat.NewRNG(7)), PlanConfig{}).NewExec()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LogPosteriorsBatch accepted 1 dst row for 2 inputs")
+		}
+	}()
+	in := make([]float64, topo.InputDim())
+	ex.LogPosteriorsBatch([][]float64{make([]float64, topo.Senones)}, [][]float64{in, in})
 }
 
 // TestForwardBatchMatchesPrunedFraction sanity-checks the mask helper

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"repro/internal/mat"
+	"repro/internal/sparse"
 )
 
 // serializable mirror types: gob cannot encode interfaces without
@@ -71,11 +72,11 @@ func Load(r io.Reader) (*Network, error) {
 	}
 	var layers []Layer
 	for _, sl := range sn.Layers {
+		if err := sl.check(); err != nil {
+			return nil, fmt.Errorf("dnn: layer %q: %w", sl.Name, err)
+		}
 		switch sl.Kind {
 		case "fc":
-			if len(sl.Weights) != sl.In*sl.Out || len(sl.Biases) != sl.Out {
-				return nil, fmt.Errorf("dnn: layer %q has inconsistent shapes", sl.Name)
-			}
 			fc := &FC{LayerName: sl.Name, Trainable: sl.Trainable, B: sl.Biases, Mask: sl.Mask, BlockSize: sl.Block}
 			fc.W = &mat.Matrix{Rows: sl.Out, Cols: sl.In, Data: sl.Weights}
 			layers = append(layers, fc)
@@ -83,14 +84,46 @@ func Load(r io.Reader) (*Network, error) {
 			layers = append(layers, NewPNorm(sl.Name, sl.In, sl.Group))
 		case "renorm":
 			layers = append(layers, NewRenorm(sl.Name, sl.In))
-		default:
-			return nil, fmt.Errorf("dnn: unknown layer kind %q", sl.Kind)
 		}
 	}
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("dnn: empty model")
 	}
+	if err := checkChain(layers); err != nil {
+		return nil, err
+	}
 	return NewNetwork(layers...), nil
+}
+
+// check reports why sl cannot become a layer, or nil. A model file is
+// untrusted input — a SIGHUP reload hands one to a live server — so
+// Load refuses the shapes the layer constructors and Compile's BSR
+// view would panic on instead of building them.
+func (sl savedLayer) check() error {
+	switch sl.Kind {
+	case "fc":
+		// Divide rather than multiply, so huge In/Out cannot overflow
+		// into a match.
+		if sl.In <= 0 || sl.Out <= 0 || len(sl.Biases) != sl.Out ||
+			len(sl.Weights)%sl.Out != 0 || len(sl.Weights)/sl.Out != sl.In {
+			return fmt.Errorf("inconsistent shapes")
+		}
+		if len(sl.Mask) != 0 && len(sl.Mask) != len(sl.Weights) {
+			return fmt.Errorf("mask length %d, want 0 or %d", len(sl.Mask), len(sl.Weights))
+		}
+		if sl.Block < 0 || sl.Block > sparse.MaxBlock {
+			return fmt.Errorf("block %d out of range [0,%d]", sl.Block, sparse.MaxBlock)
+		}
+		return nil
+	case "pnorm":
+		return checkPNorm(sl.In, sl.Group)
+	case "renorm":
+		if sl.In <= 0 {
+			return fmt.Errorf("renorm dimension %d", sl.In)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown layer kind %q", sl.Kind)
 }
 
 // SaveFile writes the network to path.

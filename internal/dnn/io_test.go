@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/sparse"
 )
 
 func encodeGob(w io.Writer, v any) error { return gob.NewEncoder(w).Encode(v) }
@@ -83,6 +84,63 @@ func TestLoadRejectsWrongFormatVersion(t *testing.T) {
 	}
 	if _, err := Load(&buf5); err == nil {
 		t.Fatalf("unknown layer kind accepted")
+	}
+}
+
+// TestLoadRejectsCorruptModel pins that a well-formed gob holding a
+// corrupt network is refused with an error, never a panic: Load is
+// the SIGHUP reload path of a live server.
+func TestLoadRejectsCorruptModel(t *testing.T) {
+	net := testTopology().Build(mat.NewRNG(25))
+	layer := func(sn *savedNetwork, kind string) *savedLayer {
+		for i := range sn.Layers {
+			if sn.Layers[i].Kind == kind {
+				return &sn.Layers[i]
+			}
+		}
+		t.Fatalf("no %s layer", kind)
+		return nil
+	}
+	cases := []struct {
+		name    string
+		corrupt func(sn *savedNetwork)
+	}{
+		{"pnorm group does not divide input", func(sn *savedNetwork) { layer(sn, "pnorm").Group = 3 }},
+		{"pnorm group zero", func(sn *savedNetwork) { layer(sn, "pnorm").Group = 0 }},
+		{"renorm dimension zero", func(sn *savedNetwork) { layer(sn, "renorm").In = 0 }},
+		{"layers do not chain", func(sn *savedNetwork) { layer(sn, "renorm").In += 4 }},
+		{"mask length", func(sn *savedNetwork) { layer(sn, "fc").Mask = []bool{true} }},
+		{"block above max", func(sn *savedNetwork) { layer(sn, "fc").Block = sparse.MaxBlock + 1 }},
+		{"block negative", func(sn *savedNetwork) { layer(sn, "fc").Block = -1 }},
+		{"fc shape overflows", func(sn *savedNetwork) {
+			fc := layer(sn, "fc")
+			fc.In, fc.Out, fc.Weights, fc.Biases = 1<<62, 4, nil, make([]float64, 4)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := net.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var sn savedNetwork
+			if err := gob.NewDecoder(&buf).Decode(&sn); err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(&sn)
+			buf.Reset()
+			if err := encodeGob(&buf, sn); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Load panicked: %v", r)
+				}
+			}()
+			if _, err := Load(&buf); err == nil {
+				t.Fatal("corrupt model accepted")
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // The float kernels ("dense", "sparse", "bsr") are bit-identical to
 // each other by construction; the integer kernels ("int8", "sparse_int8")
 // are deterministic but lossy, bound by the error budget in
-// docs/QUANT.md instead. Adding a kernel means implementing these four
+// docs/QUANT.md instead. Adding a kernel means implementing these three
 // methods — kernel selection (Compile), timing (the per-name
 // dnn.kernel_seconds family), Kernels()/Describe readouts, and Exec
 // scratch plumbing all key off Name() and NewScratch() and need no
@@ -30,9 +30,6 @@ type Kernel interface {
 	NewScratch() any
 	// MatVec evaluates the layer for one frame: dst = f(in).
 	MatVec(scratch any, dst, in []float64)
-	// MatVecBatch evaluates the layer for a batch, layer-major. Every
-	// output row must be bit-identical to MatVec on that row alone.
-	MatVecBatch(scratch any, dsts, ins [][]float64)
 }
 
 // layerKernel is the passthrough for non-FC layers (pooling, renorm):
@@ -43,11 +40,6 @@ func (k layerKernel) Name() string    { return "-" }
 func (k layerKernel) NewScratch() any { return nil }
 func (k layerKernel) MatVec(_ any, dst, in []float64) {
 	k.l.Forward(dst, in)
-}
-func (k layerKernel) MatVecBatch(_ any, dsts, ins [][]float64) {
-	for r := range ins {
-		k.l.Forward(dsts[r], ins[r])
-	}
 }
 
 // denseKernel is the float dense matvec: the FC layer's own Forward
@@ -63,11 +55,6 @@ func (k denseKernel) NewScratch() any { return nil }
 func (k denseKernel) MatVec(_ any, dst, in []float64) {
 	k.fc.Forward(dst, in)
 }
-func (k denseKernel) MatVecBatch(_ any, dsts, ins [][]float64) {
-	for r := range ins {
-		k.fc.Forward(dsts[r], ins[r])
-	}
-}
 
 // csrKernel is the float CSR sparse kernel. Its ascending-column
 // accumulation makes it bit-identical to the dense sum (pinned by
@@ -79,9 +66,6 @@ func (k csrKernel) Name() string    { return "sparse" }
 func (k csrKernel) NewScratch() any { return nil }
 func (k csrKernel) MatVec(_ any, dst, in []float64) {
 	k.csr.MatVec(dst, in)
-}
-func (k csrKernel) MatVecBatch(_ any, dsts, ins [][]float64) {
-	k.csr.MatVecBatch(dsts, ins)
 }
 
 // bsrKernel is the float block-sparse kernel: dense b×b micro-tiles
@@ -98,9 +82,6 @@ func (k bsrKernel) NewScratch() any { return nil }
 func (k bsrKernel) MatVec(_ any, dst, in []float64) {
 	k.bsr.MatVec(dst, in)
 }
-func (k bsrKernel) MatVecBatch(_ any, dsts, ins [][]float64) {
-	k.bsr.MatVecBatch(dsts, ins)
-}
 
 // int8Kernel is the dense integer kernel: int8 weight codes under one
 // per-layer symmetric scale, activations quantized per frame into the
@@ -114,9 +95,6 @@ func (k int8Kernel) NewScratch() any { return &qkern.Scratch{} }
 func (k int8Kernel) MatVec(s any, dst, in []float64) {
 	k.d.MatVec(s.(*qkern.Scratch), dst, in)
 }
-func (k int8Kernel) MatVecBatch(s any, dsts, ins [][]float64) {
-	k.d.MatVecBatch(s.(*qkern.Scratch), dsts, ins)
-}
 
 // sparseInt8Kernel is the pruned+quantized hybrid — Deep Compression's
 // deployment regime: the float CSR view's exact index structure with
@@ -127,7 +105,4 @@ func (k sparseInt8Kernel) Name() string    { return "sparse_int8" }
 func (k sparseInt8Kernel) NewScratch() any { return &qkern.Scratch{} }
 func (k sparseInt8Kernel) MatVec(s any, dst, in []float64) {
 	k.c.MatVec(s.(*qkern.Scratch), dst, in)
-}
-func (k sparseInt8Kernel) MatVecBatch(s any, dsts, ins [][]float64) {
-	k.c.MatVecBatch(s.(*qkern.Scratch), dsts, ins)
 }

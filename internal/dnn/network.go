@@ -33,13 +33,22 @@ type Network struct {
 // NewNetwork validates that consecutive layer dimensions agree and
 // returns the assembled network.
 func NewNetwork(layers ...Layer) *Network {
-	for i := 1; i < len(layers); i++ {
-		if layers[i-1].OutDim() != layers[i].InDim() {
-			panic(fmt.Sprintf("dnn: layer %q out %d != layer %q in %d",
-				layers[i-1].Name(), layers[i-1].OutDim(), layers[i].Name(), layers[i].InDim()))
-		}
+	if err := checkChain(layers); err != nil {
+		panic(err)
 	}
 	return &Network{Layers: layers}
+}
+
+// checkChain reports the first pair of adjacent layers whose
+// dimensions disagree, or nil.
+func checkChain(layers []Layer) error {
+	for i := 1; i < len(layers); i++ {
+		if layers[i-1].OutDim() != layers[i].InDim() {
+			return fmt.Errorf("dnn: layer %q out %d != layer %q in %d",
+				layers[i-1].Name(), layers[i-1].OutDim(), layers[i].Name(), layers[i].InDim())
+		}
+	}
+	return nil
 }
 
 // SetPlanConfig sets the configuration future cached plans compile
@@ -135,22 +144,6 @@ func (n *Network) forwardInto(acts [][]float64, in []float64) []float64 {
 // — concurrent workers should share n.Plan() and own per-worker Execs.
 func (n *Network) Logits(in []float64) []float64 {
 	return n.ownExec().Logits(in)
-}
-
-// LogitsBatch computes pre-softmax outputs for a batch of input
-// frames in one layer-major pass through the cached plan; see
-// Exec.LogitsBatch for its bit-identity contract. The returned rows
-// alias scratch reused by the next batched call; copy to retain. Like
-// Logits, not safe for concurrent use on one Network.
-func (n *Network) LogitsBatch(ins [][]float64) [][]float64 {
-	return n.ownExec().LogitsBatch(ins)
-}
-
-// LogPosteriorsBatch writes log-softmax outputs for every input row
-// into the corresponding dst row (len(dst) == len(ins); each dst row
-// sized OutDim). Bit-identical to calling LogPosteriors row by row.
-func (n *Network) LogPosteriorsBatch(dst, ins [][]float64) {
-	n.ownExec().LogPosteriorsBatch(dst, ins)
 }
 
 // Posteriors writes softmax class probabilities for in into dst and

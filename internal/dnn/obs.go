@@ -32,7 +32,7 @@ var (
 		"per-FC-layer weight density (NNZ/weights) observed at plan compile time",
 		[]float64{0.05, 0.1, 0.2, 1.0 / 3, 0.5, 0.75, 0.9})
 	obsKernelTime = obs.NewTimerFamily("dnn.kernel_seconds", "kernel",
-		"wall-clock seconds per FC kernel evaluation (single-frame or whole batch), keyed by compiled kernel name")
+		"wall-clock seconds per FC kernel evaluation of one frame, keyed by compiled kernel name")
 )
 
 // PublishWeightStats records the network's non-zero weight count and

@@ -260,10 +260,10 @@ func (p *Plan) newScratch() []any {
 }
 
 // NewExec returns a fresh executor over the plan. The Exec owns all
-// mutable scratch (single-frame and batched activations, plus each
-// kernel's own scratch), so one plan may be shared by any number of
-// concurrent Execs; each individual Exec is single-goroutine, like the
-// Network methods it replaces.
+// mutable scratch (activations plus each kernel's own scratch), so one
+// plan may be shared by any number of concurrent Execs; each
+// individual Exec is single-goroutine, like the Network methods it
+// replaces.
 func (p *Plan) NewExec() *Exec {
 	return &Exec{plan: p, acts: p.newActivations(), scratch: p.newScratch()}
 }
@@ -274,98 +274,39 @@ func (p *Plan) NewExec() *Exec {
 // Plan.NewExec.
 type Exec struct {
 	plan    *Plan
-	acts    [][]float64 // single-frame activations, acts[0] = input copy
+	acts    [][]float64 // activations, acts[0] = input copy
 	scratch []any       // per-layer kernel scratch, scratch[i] for layer i
-
-	// batchActs[r] is the activation set of batch row r, grown on
-	// demand by LogitsBatch.
-	batchActs [][][]float64
 }
 
 // Plan returns the shared plan this executor runs.
 func (e *Exec) Plan() *Plan { return e.plan }
 
-// step evaluates layer i through its compiled kernel.
-func (e *Exec) step(i int, dst, in []float64) {
-	pl := &e.plan.layers[i]
-	pl.kern.MatVec(e.scratch[i], dst, in)
-}
-
-// stepTimed is step with per-kernel timing, taken only while
-// observation is enabled.
-func (e *Exec) stepTimed(i int, dst, in []float64) {
-	pl := &e.plan.layers[i]
-	sp := pl.timer.Start()
-	pl.kern.MatVec(e.scratch[i], dst, in)
-	sp.Stop()
-}
-
-// forwardInto runs the plan over in, leaving every intermediate
-// activation in acts; returns the logits slice (aliased into acts).
-// Mirrors Network.forwardInto: the instrumented branch is taken only
-// while observation is enabled, so the plain path pays one atomic
-// load for the whole pass.
-func (e *Exec) forwardInto(acts [][]float64, in []float64) []float64 {
-	copy(acts[0], in)
-	p := e.plan
-	if !obs.Enabled() {
-		for i := range p.layers {
-			e.step(i, acts[i+1], acts[i])
-		}
-		return acts[len(acts)-1]
-	}
-	sp := obsForwardTime.Start()
-	for i := range p.layers {
-		e.stepTimed(i, acts[i+1], acts[i])
-	}
-	sp.Stop()
-	obsForwardPasses.Inc()
-	return acts[len(acts)-1]
-}
-
-// Logits computes the pre-softmax outputs for one input frame.
-// The returned slice is reused by the next call; copy it to retain.
+// Logits computes the pre-softmax outputs for one input frame,
+// leaving every intermediate activation in the Exec's scratch. The
+// returned slice is reused by the next call; copy it to retain.
+// Mirrors Network.forwardInto: the instrumented branch (forward and
+// per-kernel timers) is taken only while observation is enabled, so
+// the plain path pays one atomic load for the whole pass.
 func (e *Exec) Logits(in []float64) []float64 {
-	return e.forwardInto(e.acts, in)
-}
-
-// LogitsBatch computes pre-softmax outputs for a batch of input frames
-// in one pass. The loop is layer-major — every layer's weights (dense
-// rows, CSR runs, or int8 codes) are walked once per batch instead of
-// once per frame — but each row's arithmetic is exactly Logits', so
-// the result is bit-identical to calling Logits(ins[r]) per row
-// regardless of batch size or order (for every kernel, including the
-// integer ones). Returned rows alias per-Exec scratch reused by the
-// next batched call; copy to retain.
-func (e *Exec) LogitsBatch(ins [][]float64) [][]float64 {
-	p := e.plan
-	for len(e.batchActs) < len(ins) {
-		e.batchActs = append(e.batchActs, p.newActivations())
-	}
-	for r, in := range ins {
-		copy(e.batchActs[r][0], in)
-	}
-	srcs := make([][]float64, len(ins))
-	dsts := make([][]float64, len(ins))
-	sp := obsForwardTime.Start()
-	for i := range p.layers {
-		pl := &p.layers[i]
-		for r := range ins {
-			srcs[r] = e.batchActs[r][i]
-			dsts[r] = e.batchActs[r][i+1]
+	acts := e.acts
+	copy(acts[0], in)
+	layers := e.plan.layers
+	if !obs.Enabled() {
+		for i := range layers {
+			layers[i].kern.MatVec(e.scratch[i], acts[i+1], acts[i])
 		}
+		return acts[len(layers)]
+	}
+	sp := obsForwardTime.Start()
+	for i := range layers {
+		pl := &layers[i]
 		ksp := pl.timer.Start()
-		pl.kern.MatVecBatch(e.scratch[i], dsts, srcs)
+		pl.kern.MatVec(e.scratch[i], acts[i+1], acts[i])
 		ksp.Stop()
 	}
 	sp.Stop()
-	obsForwardPasses.Add(int64(len(ins)))
-	last := len(p.layers)
-	out := make([][]float64, len(ins))
-	for r := range ins {
-		out[r] = e.batchActs[r][last]
-	}
-	return out
+	obsForwardPasses.Inc()
+	return acts[len(layers)]
 }
 
 // LogPosteriors writes log-softmax outputs for in into dst — the
@@ -376,14 +317,14 @@ func (e *Exec) LogPosteriors(dst, in []float64) {
 
 // LogPosteriorsBatch writes log-softmax outputs for every input row
 // into the corresponding dst row (len(dst) == len(ins); each dst row
-// sized OutDim). Bit-identical to calling LogPosteriors row by row.
+// sized OutDim). It is LogPosteriors row by row — every kernel has one
+// compute method, MatVec — kept for the benchmark's B=16 probes.
 func (e *Exec) LogPosteriorsBatch(dst, ins [][]float64) {
 	if len(dst) != len(ins) {
 		panic(fmt.Sprintf("dnn: batch dst rows %d != input rows %d", len(dst), len(ins)))
 	}
-	logits := e.LogitsBatch(ins)
-	for r := range logits {
-		mat.LogSoftmax(dst[r], logits[r])
+	for r := range ins {
+		e.LogPosteriors(dst[r], ins[r])
 	}
 }
 

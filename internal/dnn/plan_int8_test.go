@@ -120,34 +120,6 @@ func TestInt8LogitErrorBounded(t *testing.T) {
 	}
 }
 
-// TestInt8BatchBitIdenticalToSingle pins that the integer kernels keep
-// the batching contract: although int8 is only approximately equal to
-// float, it is exactly equal to itself — batched rows match the
-// single-frame path bit for bit, at every pruning level.
-func TestInt8BatchBitIdenticalToSingle(t *testing.T) {
-	topo := testTopology()
-	frames := testFrames(topo, 16)
-	for _, target := range []float64{0, 0.9} {
-		net := prunedNet(t, target)
-		ex := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendInt8}).NewExec()
-		want := make([][]float64, len(frames))
-		for i, f := range frames {
-			want[i] = make([]float64, net.OutDim())
-			ex.LogPosteriors(want[i], f)
-		}
-		batched := make([][]float64, len(frames))
-		for i := range batched {
-			batched[i] = make([]float64, net.OutDim())
-		}
-		ex.LogPosteriorsBatch(batched, frames)
-		for i := range frames {
-			if !bitsEqual(want[i], batched[i]) {
-				t.Fatalf("p%.0f frame %d: batched int8 differs from single-frame", 100*target, i)
-			}
-		}
-	}
-}
-
 // TestInt8Deterministic pins that two independent int8 compiles of the
 // same network produce bit-identical outputs — quantization has no
 // hidden state, so byte-stable decode artifacts survive the backend.

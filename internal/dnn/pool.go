@@ -19,10 +19,19 @@ const pnormEps = 1e-20
 
 // NewPNorm builds a pooling layer reducing in inputs to in/group outputs.
 func NewPNorm(name string, in, group int) *PNorm {
-	if group <= 0 || in%group != 0 {
-		panic(fmt.Sprintf("dnn: pnorm input %d not divisible by group %d", in, group))
+	if err := checkPNorm(in, group); err != nil {
+		panic("dnn: " + err.Error())
 	}
 	return &PNorm{LayerName: name, In: in, Out: in / group, Group: group}
+}
+
+// checkPNorm reports why in inputs cannot pool in groups of group, or
+// nil.
+func checkPNorm(in, group int) error {
+	if in <= 0 || group <= 0 || in%group != 0 {
+		return fmt.Errorf("pnorm input %d not divisible by group %d", in, group)
+	}
+	return nil
 }
 
 func (p *PNorm) Name() string { return p.LayerName }

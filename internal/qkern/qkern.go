@@ -5,8 +5,7 @@
 // accumulators that dequantize once at the layer boundary. It is the
 // quantized sibling of internal/sparse — internal/dnn's compiled
 // plans wrap both behind the same per-layer kernel interface — and
-// the single source of truth for the affine arithmetic that
-// internal/quant's Affine report pass describes.
+// the single source of truth for the int8 affine arithmetic.
 //
 // The representation is Deep Compression's deployment regime (the
 // paper's reference [2], and PAPERS.md's Accelerator-Aware Pruning):
@@ -278,12 +277,10 @@ func FromMatrix(w *mat.Matrix, bias []float64) *Dense {
 // — the dot kernels read them without a sign-extension per element,
 // which is what puts the int8 backend ahead of the float dense path.
 type Scratch struct {
-	q      []int32   // single-frame quantized input
-	rows   [][]int32 // batched quantized inputs
-	params []Params
+	q []int32 // quantized input frame
 }
 
-// frame quantizes x into the single-frame buffer with asymmetric
+// frame quantizes x into the reused buffer with asymmetric
 // per-frame parameters and returns the codes plus those parameters.
 func (s *Scratch) frame(x []float64) ([]int32, Params) {
 	if cap(s.q) < len(x) {
@@ -293,30 +290,6 @@ func (s *Scratch) frame(x []float64) ([]int32, Params) {
 	p := ActParamsOf(x)
 	p.QuantizeAct(q, x)
 	return q, p
-}
-
-// batch quantizes every row of xs, reusing (and growing) the batched
-// buffers. Row r's codes and parameters are rows[r], params[r]; each
-// row is quantized exactly as frame would, so batched results match
-// the single-frame kernel bit for bit.
-func (s *Scratch) batch(xs [][]float64) ([][]int32, []Params) {
-	for len(s.rows) < len(xs) {
-		s.rows = append(s.rows, nil)
-	}
-	if cap(s.params) < len(xs) {
-		s.params = make([]Params, len(xs))
-	}
-	s.params = s.params[:len(xs)]
-	for r, x := range xs {
-		if cap(s.rows[r]) < len(x) {
-			s.rows[r] = make([]int32, len(x))
-		}
-		s.rows[r] = s.rows[r][:len(x)]
-		p := ActParamsOf(x)
-		p.QuantizeAct(s.rows[r], x)
-		s.params[r] = p
-	}
-	return s.rows[:len(xs)], s.params
 }
 
 // dot accumulates the int8-weight × activation-code dot product in
@@ -359,31 +332,6 @@ func (d *Dense) MatVec(s *Scratch, dst, x []float64) {
 			v += d.Bias[r]
 		}
 		dst[r] = v
-	}
-}
-
-// MatVecBatch computes dst[b] = dequant(Q·quant(xs[b])) (+ bias) for
-// a batch, layer-major: each weight row is walked once per batch. Row
-// b's arithmetic is exactly MatVec's — same codes, same int32
-// accumulation order, same single dequantization — so every output
-// row is bit-identical to the single-frame call.
-func (d *Dense) MatVecBatch(s *Scratch, dst [][]float64, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic(fmt.Sprintf("qkern: MatVecBatch dst rows %d != input rows %d", len(dst), len(xs)))
-	}
-	qs, params := s.batch(xs)
-	for r := 0; r < d.Rows; r++ {
-		row := d.Q[r*d.Cols : (r+1)*d.Cols]
-		rowSum := int64(d.RowSum[r])
-		var bias float64
-		if d.Bias != nil {
-			bias = d.Bias[r]
-		}
-		for b := range xs {
-			acc := dot(row, qs[b])
-			corrected := int64(acc) - int64(params[b].ZeroPoint)*rowSum
-			dst[b][r] = float64(corrected)*(d.P.Scale*params[b].Scale) + bias
-		}
 	}
 }
 
@@ -462,34 +410,5 @@ func (c *CSR) MatVec(s *Scratch, dst, x []float64) {
 			v += c.Bias[r]
 		}
 		dst[r] = v
-	}
-}
-
-// MatVecBatch is the layer-major batched CSR-int8 kernel; like
-// Dense.MatVecBatch each output row is bit-identical to the
-// single-frame MatVec.
-func (c *CSR) MatVecBatch(s *Scratch, dst [][]float64, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic(fmt.Sprintf("qkern: CSR MatVecBatch dst rows %d != input rows %d", len(dst), len(xs)))
-	}
-	qs, params := s.batch(xs)
-	for r := 0; r < c.Rows; r++ {
-		lo, hi := c.RowPtr[r], c.RowPtr[r+1]
-		codes := c.Q[lo:hi]
-		cols := c.Cols[lo:hi]
-		rowSum := int64(c.RowSum[r])
-		var bias float64
-		if c.Bias != nil {
-			bias = c.Bias[r]
-		}
-		for b := range xs {
-			q := qs[b]
-			var acc int32
-			for k, w := range codes {
-				acc += int32(w) * q[cols[k]]
-			}
-			corrected := int64(acc) - int64(params[b].ZeroPoint)*rowSum
-			dst[b][r] = float64(corrected)*(c.P.Scale*params[b].Scale) + bias
-		}
 	}
 }

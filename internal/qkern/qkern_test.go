@@ -1,7 +1,6 @@
 package qkern
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -193,62 +192,6 @@ func maxAbs(v []float64) float64 {
 	}
 	return m
 }
-
-// TestBatchBitIdenticalToSingle pins the batching contract shared
-// with the float kernels: each batched output row equals the
-// single-frame kernel bit for bit, for the dense and the CSR-int8
-// kernel alike, regardless of batch composition.
-func TestBatchBitIdenticalToSingle(t *testing.T) {
-	rng := mat.NewRNG(21)
-	for _, density := range []float64{0.1, 1} {
-		t.Run(fmt.Sprintf("density%.1f", density), func(t *testing.T) {
-			m := randomMatrix(rng, 13, 29, density)
-			bias := make([]float64, 13)
-			rng.FillNorm(bias, 0, 1)
-			xs := make([][]float64, 7)
-			for i := range xs {
-				xs[i] = make([]float64, 29)
-				rng.FillNorm(xs[i], float64(i%3)-1, 1.5)
-			}
-
-			d := FromMatrix(m, bias)
-			c := FromCSR(sparseFrom(m, bias))
-			for name, k := range map[string]interface {
-				one(s *Scratch, dst, x []float64)
-				many(s *Scratch, dst, xs [][]float64)
-			}{"dense": denseAdapter{d}, "csr": csrAdapter{c}} {
-				var s1, s2 Scratch
-				want := make([][]float64, len(xs))
-				for i, x := range xs {
-					want[i] = make([]float64, 13)
-					k.one(&s1, want[i], x)
-				}
-				got := make([][]float64, len(xs))
-				for i := range got {
-					got[i] = make([]float64, 13)
-				}
-				k.many(&s2, got, xs)
-				for i := range xs {
-					for r := range want[i] {
-						if math.Float64bits(want[i][r]) != math.Float64bits(got[i][r]) {
-							t.Fatalf("%s: batch row %d differs from single-frame at %d", name, i, r)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-type denseAdapter struct{ d *Dense }
-
-func (a denseAdapter) one(s *Scratch, dst, x []float64)     { a.d.MatVec(s, dst, x) }
-func (a denseAdapter) many(s *Scratch, dst, xs [][]float64) { a.d.MatVecBatch(s, dst, xs) }
-
-type csrAdapter struct{ c *CSR }
-
-func (a csrAdapter) one(s *Scratch, dst, x []float64)     { a.c.MatVec(s, dst, x) }
-func (a csrAdapter) many(s *Scratch, dst, xs [][]float64) { a.c.MatVecBatch(s, dst, xs) }
 
 // TestCSRMatchesDenseOnSameWeights pins that the hybrid kernel
 // computes the same quantized algebra as the dense int8 kernel when

@@ -206,3 +206,107 @@ func TestHuffmanBeatsFixedOnSkewedData(t *testing.T) {
 		t.Fatalf("Huffman %d should beat fixed %d on skewed data", got, fixed)
 	}
 }
+
+// retrainedNet builds a prune-then-retrained network — the state the
+// Deep Compression pipeline quantizes — with frozen FC0 intact.
+func retrainedNet(t *testing.T, target float64) *dnn.Network {
+	t.Helper()
+	net := buildNet(11)
+	rng := mat.NewRNG(12)
+	samples := make([]dnn.Sample, 48)
+	for i := range samples {
+		in := make([]float64, net.InDim())
+		rng.FillNorm(in, 0, 1)
+		samples[i] = dnn.Sample{Input: in, Label: i % net.OutDim()}
+	}
+	res, err := pruning.PruneAndRetrain(net, samples, pruning.Config{
+		Target:  target,
+		Retrain: dnn.TrainConfig{Epochs: 1, BatchSize: 8, LearningRate: 0.02, Seed: 13},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Net
+}
+
+// TestQuantizeDeterministic pins the codebook pass: same network +
+// bits ⇒ bit-identical codebooks and reports across runs (kmeans1D is
+// deterministically initialized by linear spread, so there is no
+// hidden seed to drift).
+func TestQuantizeDeterministic(t *testing.T) {
+	net := retrainedNet(t, 0.8)
+	q1, r1, err := Quantize(net, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, r2, err := Quantize(net, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r1.Layers) != len(r2.Layers) ||
+		r1.TotalHuffmanBits != r2.TotalHuffmanBits || r1.TotalFixedBits != r2.TotalFixedBits {
+		t.Fatal("quantize reports differ in shape/totals across runs")
+	}
+	for i := range r1.Layers {
+		l1, l2 := r1.Layers[i], r2.Layers[i]
+		if l1.Name != l2.Name || l1.ActiveCount != l2.ActiveCount ||
+			math.Float64bits(l1.MSE) != math.Float64bits(l2.MSE) ||
+			l1.HuffmanBits != l2.HuffmanBits || len(l1.Codebook) != len(l2.Codebook) {
+			t.Fatalf("layer %s report differs across runs", l1.Name)
+		}
+		for c := range l1.Codebook {
+			if math.Float64bits(l1.Codebook[c]) != math.Float64bits(l2.Codebook[c]) {
+				t.Fatalf("layer %s codebook entry %d differs across runs", l1.Name, c)
+			}
+		}
+	}
+	f1, f2 := q1.FCs(), q2.FCs()
+	for li := range f1 {
+		for i := range f1[li].W.Data {
+			if math.Float64bits(f1[li].W.Data[i]) != math.Float64bits(f2[li].W.Data[i]) {
+				t.Fatalf("layer %d weight %d differs across runs", li, i)
+			}
+		}
+	}
+}
+
+// TestQuantizeLeavesFrozenAndPrunedUntouched is the regression pinned
+// by the int8 work: on a prune-retrained net, Quantize must leave
+// frozen layers bit-identical and every masked-out weight at exactly
+// zero — the invariants the sparse-int8 hybrid's shared CSR index
+// structure relies on.
+func TestQuantizeLeavesFrozenAndPrunedUntouched(t *testing.T) {
+	net := retrainedNet(t, 0.8)
+	q, _, err := Quantize(net, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkedFrozen, checkedPruned bool
+	orig, quant := net.FCs(), q.FCs()
+	for li := range orig {
+		of, qf := orig[li], quant[li]
+		if !of.Trainable {
+			checkedFrozen = true
+			for i := range of.W.Data {
+				if math.Float64bits(of.W.Data[i]) != math.Float64bits(qf.W.Data[i]) {
+					t.Fatalf("frozen layer %s weight %d changed", of.LayerName, i)
+				}
+			}
+			continue
+		}
+		if qf.Mask == nil {
+			continue
+		}
+		for i, keep := range qf.Mask {
+			if !keep {
+				checkedPruned = true
+				if qf.W.Data[i] != 0 {
+					t.Fatalf("layer %s: pruned weight %d resurrected to %v", qf.LayerName, i, qf.W.Data[i])
+				}
+			}
+		}
+	}
+	if !checkedFrozen || !checkedPruned {
+		t.Fatalf("test vacuous: frozen=%v pruned=%v", checkedFrozen, checkedPruned)
+	}
+}

@@ -192,6 +192,28 @@ func TestReloadFromFile(t *testing.T) {
 		t.Error("failed reload replaced the plan")
 	}
 
+	// So does a well-formed file whose layers do not chain (the net is
+	// assembled by hand to get past NewNetwork's own check): Reload
+	// returns an error instead of panicking, and the old plan serves on.
+	good := testNet(t, 2)
+	bad := &dnn.Network{Layers: []dnn.Layer{good.Layers[0], good.Layers[len(good.Layers)-1]}}
+	if err := bad.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Reload(); err == nil {
+		t.Error("Reload succeeded on a model whose layers do not chain")
+	}
+	if v.Plan() != current {
+		t.Error("failed reload replaced the plan")
+	}
+	got := make([]float64, current.OutDim())
+	current.NewExec().LogPosteriors(got, make([]float64, current.InDim()))
+	for _, x := range got {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("old plan no longer scores: %v", got)
+		}
+	}
+
 	// Path-less variants are skipped, not errors.
 	mem, err := r.Register("mem", "", testNet(t, 3), dnn.BackendAuto)
 	if err != nil {

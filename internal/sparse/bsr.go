@@ -171,44 +171,6 @@ func (l *BSR) MatVec(dst, x []float64) {
 	}
 }
 
-// MatVecBatch computes dst[i] = L·xs[i] (+ bias when present) for a
-// batch of input vectors, layer-major: each block row's tiles are
-// walked once per input while they are cache-hot. Every (row, input)
-// accumulation runs in exactly the MatVec order, so each output row is
-// bit-identical to calling MatVec(dst[i], xs[i]) alone.
-func (l *BSR) MatVecBatch(dst, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic(fmt.Sprintf("sparse: BSR MatVecBatch dst rows %d != input rows %d", len(dst), len(xs)))
-	}
-	for i := range xs {
-		if len(xs[i]) != l.ColsDim || len(dst[i]) != l.Rows {
-			panic(fmt.Sprintf("sparse: BSR MatVecBatch dimension mismatch: layer %dx%d, x %d, dst %d",
-				l.Rows, l.ColsDim, len(xs[i]), len(dst[i])))
-		}
-	}
-	b := l.Block
-	for br := 0; br < l.BlockRows(); br++ {
-		r0 := br * b
-		rn := b
-		if r0+rn > l.Rows {
-			rn = l.Rows - r0
-		}
-		lo, hi := l.RowPtr[br], l.RowPtr[br+1]
-		for i, x := range xs {
-			var acc [MaxBlock]float64
-			l.accumBlockRow(acc[:b], x, lo, hi)
-			out := dst[i]
-			for rr := 0; rr < rn; rr++ {
-				s := acc[rr]
-				if l.Bias != nil {
-					s += l.Bias[r0+rr]
-				}
-				out[r0+rr] = s
-			}
-		}
-	}
-}
-
 // accumBlockRow accumulates tiles [lo,hi) of one block row into acc
 // (len = Block), dispatching to the unrolled kernels for the
 // hardware-aligned shapes.

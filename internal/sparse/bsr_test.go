@@ -92,36 +92,6 @@ func TestBSRMatVecBitIdenticalToDense(t *testing.T) {
 	}
 }
 
-func TestBSRMatVecBatchMatchesSingle(t *testing.T) {
-	rng := mat.NewRNG(11)
-	for trial := 0; trial < 20; trial++ {
-		block := []int{4, 8}[trial%2]
-		rows, cols := 1+rng.Intn(50), 1+rng.Intn(50)
-		m := blockPrunedMatrix(rng, rows, cols, block, 0.3)
-		bias := make([]float64, rows)
-		rng.FillNorm(bias, 0, 1)
-		l := FromDenseBSR(m, bias, block)
-
-		n := 1 + rng.Intn(6)
-		xs := make([][]float64, n)
-		want := make([][]float64, n)
-		got := make([][]float64, n)
-		for i := range xs {
-			xs[i] = make([]float64, cols)
-			rng.FillNorm(xs[i], 0, 1)
-			want[i] = make([]float64, rows)
-			l.MatVec(want[i], xs[i])
-			got[i] = make([]float64, rows)
-		}
-		l.MatVecBatch(got, xs)
-		for i := range want {
-			if !bitsEq(want[i], got[i]) {
-				t.Fatalf("trial %d: batch row %d differs from single MatVec", trial, i)
-			}
-		}
-	}
-}
-
 // TestBSRStorageBeatsCSROnBlockPruned pins the storage half of the
 // structured-sparsity bargain: at equal block-pruned weights the BSR
 // form pays one index per tile instead of one per nonzero, so its

@@ -5,8 +5,8 @@
 // of the paper.
 //
 // Beyond the storage model, the package carries the real compute
-// kernels (MatVec, MatVecBatch) that internal/dnn's compiled inference
-// plans execute for pruned layers: each output neuron's nonzeros are
+// kernel (MatVec) that internal/dnn's compiled inference plans
+// execute for pruned layers: each output neuron's nonzeros are
 // accumulated in ascending column order — the same order the dense sum
 // visits them — so skipping the exact zeros a pruning mask leaves
 // behind never perturbs the floating-point accumulation and the sparse
@@ -106,39 +106,6 @@ func (l *Layer) MatVec(dst, x []float64) {
 			s += l.Bias[r]
 		}
 		dst[r] = s
-	}
-}
-
-// MatVecBatch computes dst[b] = L·xs[b] (+ bias when present) for a
-// batch of input vectors. The loop is row-major over the layer so each
-// weight row is walked once per batch instead of once per input, but
-// every (row, input) dot product accumulates in exactly the MatVec
-// order, so each output row is bit-identical to calling MatVec(dst[b],
-// xs[b]) alone.
-func (l *Layer) MatVecBatch(dst, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic(fmt.Sprintf("sparse: MatVecBatch dst rows %d != input rows %d", len(dst), len(xs)))
-	}
-	for b := range xs {
-		if len(xs[b]) != l.ColsDim || len(dst[b]) != l.Rows {
-			panic(fmt.Sprintf("sparse: MatVecBatch dimension mismatch: layer %dx%d, x %d, dst %d",
-				l.Rows, l.ColsDim, len(xs[b]), len(dst[b])))
-		}
-	}
-	for r := 0; r < l.Rows; r++ {
-		lo, hi := l.RowPtr[r], l.RowPtr[r+1]
-		weights := l.Weights[lo:hi]
-		cols := l.Cols[lo:hi]
-		for b, x := range xs {
-			var s float64
-			for k, w := range weights {
-				s += w * x[cols[k]]
-			}
-			if l.Bias != nil {
-				s += l.Bias[r]
-			}
-			dst[b][r] = s
-		}
 	}
 }
 
