@@ -6,7 +6,7 @@
 //
 //	asrdecode [-scale small] [-model models/small-prune90.model]
 //	          [-store unbounded|nbest|accurate] [-beam 15] [-n 0]
-//	          [-backend auto|dense|sparse|bsr|int8] [-workers 0]
+//	          [-backend auto|dense|sparse|bsr] [-workers 0]
 //	          [-metrics-addr localhost:9090] [-v]
 //
 // -backend selects the acoustic-scoring kernels of the compiled
@@ -50,7 +50,7 @@ func main() {
 	beam := flag.Float64("beam", asr.DefaultBeam, "beam width in -log space")
 	n := flag.Int("n", 0, "N-best bound for -store nbest/accurate (0 = scale default)")
 	lazy := flag.Bool("lazy", false, "use on-the-fly WFST composition instead of the precompiled graph")
-	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels: auto, dense, sparse, bsr or int8")
+	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels: auto, dense, sparse or bsr")
 	verbose := flag.Bool("v", false, "print every transcript")
 	workersFlag := flag.Int("workers", 0, "concurrent utterance decodes (0 = one per core, 1 = serial)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (enables observation)")

@@ -12,7 +12,7 @@
 //	asrserve -model models/small-prune90.model [-scale small]
 //	asrserve -manifest models/manifest.json    [-scale small]
 //	         [-addr localhost:8093] [-store unbounded|nbest|accurate]
-//	         [-beam 15] [-n 0] [-backend auto|dense|sparse|bsr|int8]
+//	         [-beam 15] [-n 0] [-backend auto|dense|sparse|bsr]
 //	         [-max-sessions 64] [-idle-timeout 30s]
 //	         [-deadline 2m] [-drain-timeout 30s]
 //	         [-metrics-addr localhost:9090] [-v]
@@ -22,7 +22,7 @@
 // sparse for pruned layers). With -manifest each variant carries its
 // own name, model file, and backend (docs/SERVING.md has the format);
 // clients select one with the handshake's model field. Transcripts are
-// bit-identical across the float backends; only forward-pass latency
+// bit-identical across the backends; only forward-pass latency
 // changes.
 //
 // A session's handshake may carry a "control" object to decode that
@@ -80,7 +80,7 @@ func main() {
 	storeKind := flag.String("store", "unbounded", "hypothesis store: unbounded, nbest or accurate")
 	beam := flag.Float64("beam", asr.DefaultBeam, "beam width in -log space")
 	n := flag.Int("n", 0, "N-best bound for -store nbest/accurate (0 = scale default)")
-	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels for -model: auto, dense, sparse, bsr or int8")
+	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels for -model: auto, dense, sparse or bsr")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap; excess starts are rejected")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "abort a session after this long without a client message")
 	deadline := flag.Duration("deadline", 2*time.Minute, "default per-session deadline (clients may set their own)")

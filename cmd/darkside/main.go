@@ -4,7 +4,7 @@
 // Usage:
 //
 //	darkside [-scale tiny|small|paper] [-only fig11,fig12,...] [-workers n]
-//	         [-backend auto|dense|sparse|bsr|int8] [-metrics-addr localhost:9090] [-v]
+//	         [-backend auto|dense|sparse|bsr] [-metrics-addr localhost:9090] [-v]
 //
 // With no -only flag, all experiments run in paper order. Decoding
 // fans out over the engine's worker pools (-workers 1 forces the
@@ -43,7 +43,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. fig3,fig11); empty = all")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	workers := flag.Int("workers", 0, "engine worker-pool width per level (0 = one per core, 1 = serial)")
-	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels: auto, dense, sparse, bsr or int8")
+	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels: auto, dense, sparse or bsr")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (enables observation)")
 	verbose := flag.Bool("v", false, "enable observation and print the metrics summary to stderr at the end")
 	flag.Parse()

@@ -6,27 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/decoder"
-	"repro/internal/dnn"
 	"repro/internal/mat"
-	"repro/internal/quant"
+	"repro/internal/qkern"
 	"repro/internal/wer"
 )
 
-// int8ScoresFor computes the test set's log-posteriors through a
-// freshly compiled int8 plan. The plan is compiled directly from the
-// model rather than via System.SetBackend: tinySystem is memoized
-// across the whole package and its Scores/Quality caches are keyed by
-// pruning level only, so flipping the shared system's backend would
-// poison every other test.
-func int8ScoresFor(sys *System, net *dnn.Network) [][][]float64 {
-	ex := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendInt8}).NewExec()
+// int8ScoresFor computes the test set's log-posteriors through the
+// int8 forward pass (qkern.Compile) of the model at the given level.
+func int8ScoresFor(sys *System, level int) [][][]float64 {
+	qn := qkern.Compile(sys.Models[level])
 	all := make([][][]float64, len(sys.TestSet))
 	for i, u := range sys.TestSet {
 		spliced := speechSpliceAll(u, sys.Scale.Context)
 		scores := make([][]float64, len(spliced))
 		for f, in := range spliced {
 			vec := make([]float64, sys.World.NumSenones())
-			ex.LogPosteriors(vec, in)
+			qn.LogPosteriors(vec, in)
 			scores[f] = vec
 		}
 		all[i] = scores
@@ -64,20 +59,18 @@ func decodeWER(sys *System, scores [][][]float64) float64 {
 	return corpus.Rate()
 }
 
-// TestInt8ErrorBudget pins the int8 backend's acceptance contract on
-// the deterministic corpus, at the paper's pruning levels: top-1
-// posterior agreement with the float backend >= 99% of frames, and
-// corpus WER within 0.5 absolute points. The float backends are
-// bit-identical to each other, so "float" here is the system's cached
-// auto-backend scores. The pruned models are prune-then-retrained by
-// Build, so 70/90 exercise quantize-after-retrain — Deep Compression's
-// pipeline order.
+// TestInt8ErrorBudget pins the int8 pass's error budget on the
+// deterministic corpus, at the paper's pruning levels: top-1 posterior
+// agreement with the system's float scores >= 99% of frames, and
+// corpus WER within 0.5 absolute points. The pruned models are
+// prune-then-retrained by Build, so 70/90 exercise
+// quantize-after-retrain — Deep Compression's pipeline order.
 func TestInt8ErrorBudget(t *testing.T) {
 	sys := tinySystem(t)
 	for _, lv := range []int{0, 70, 90} {
 		t.Run(fmt.Sprintf("p%d", lv), func(t *testing.T) {
 			flt := sys.Scores(lv)
-			q := int8ScoresFor(sys, sys.Models[lv])
+			q := int8ScoresFor(sys, lv)
 			if agr := top1Agreement(flt, q); agr < 0.99 {
 				t.Errorf("top-1 posterior agreement %.4f < 0.99", agr)
 			}
@@ -86,69 +79,5 @@ func TestInt8ErrorBudget(t *testing.T) {
 				t.Errorf("WER delta %.2f > 0.5 absolute (float %.2f%%, int8 %.2f%%)", d, fltWER, qWER)
 			}
 		})
-	}
-}
-
-// TestInt8ErrorBudgetAfterCodebookQuantize stacks the full Deep
-// Compression pipeline — prune, retrain, codebook-quantize — and then
-// runs the int8 backend on top: the error budget must hold against the
-// float backend on the same codebook-quantized weights.
-func TestInt8ErrorBudgetAfterCodebookQuantize(t *testing.T) {
-	sys := tinySystem(t)
-	qnet, _, err := quant.Quantize(sys.Models[90], 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fltEx := dnn.Compile(qnet, dnn.PlanConfig{}).NewExec()
-	flt := make([][][]float64, len(sys.TestSet))
-	for i, u := range sys.TestSet {
-		spliced := speechSpliceAll(u, sys.Scale.Context)
-		flt[i] = make([][]float64, len(spliced))
-		for f, in := range spliced {
-			vec := make([]float64, sys.World.NumSenones())
-			fltEx.LogPosteriors(vec, in)
-			flt[i][f] = vec
-		}
-	}
-	q := int8ScoresFor(sys, qnet)
-	if agr := top1Agreement(flt, q); agr < 0.99 {
-		t.Errorf("top-1 posterior agreement %.4f < 0.99 after codebook quantize", agr)
-	}
-	fltWER, qWER := decodeWER(sys, flt), decodeWER(sys, q)
-	if d := math.Abs(qWER - fltWER); d > 0.5 {
-		t.Errorf("WER delta %.2f > 0.5 absolute (float %.2f%%, int8 %.2f%%)", d, fltWER, qWER)
-	}
-}
-
-// TestInt8ScoresParallelMatchesSerial runs the int8 scoring path
-// through the engine's worker pool (one Exec per utterance callback,
-// one shared plan) and pins bit-identity with the serial reference —
-// the -race face of the int8 ownership contract at the asr layer.
-func TestInt8ScoresParallelMatchesSerial(t *testing.T) {
-	sys := tinySystem(t)
-	want := int8ScoresFor(sys, sys.Models[90])
-
-	plan := dnn.Compile(sys.Models[90], dnn.PlanConfig{Backend: dnn.BackendInt8})
-	got := make([][][]float64, len(sys.TestSet))
-	sys.ForEachUtt(sys.Engine, func(i int) {
-		ex := plan.NewExec()
-		u := sys.TestSet[i]
-		spliced := speechSpliceAll(u, sys.Scale.Context)
-		scores := make([][]float64, len(spliced))
-		for f, in := range spliced {
-			vec := make([]float64, sys.World.NumSenones())
-			ex.LogPosteriors(vec, in)
-			scores[f] = vec
-		}
-		got[i] = scores
-	})
-	for i := range want {
-		for f := range want[i] {
-			for s := range want[i][f] {
-				if math.Float64bits(want[i][f][s]) != math.Float64bits(got[i][f][s]) {
-					t.Fatalf("utt %d frame %d senone %d: parallel int8 differs from serial", i, f, s)
-				}
-			}
-		}
 	}
 }

@@ -116,14 +116,13 @@ func Build(scale Scale, levels []int) (*System, error) {
 }
 
 // SetBackend sets the acoustic-scoring backend
-// (auto/dense/sparse/int8) every model's compiled inference plan uses
+// (auto/dense/sparse/bsr) every model's compiled inference plan uses
 // from now on, dropping any previously compiled plans. Decode outputs
-// are bit-identical across the float backends; int8 is deterministic
-// but approximate, bound by the error budget in docs/QUANT.md. Call
-// before decoding starts (it is not synchronized against in-flight
-// inference), and note the Scores/Quality caches are keyed by pruning
-// level only — they do not watch backend switches, so set the backend
-// before the first scoring pass, not between them.
+// are bit-identical across the backends. Call before decoding starts
+// (it is not synchronized against in-flight inference), and note the
+// Scores/Quality caches are keyed by pruning level only — they do not
+// watch backend switches, so set the backend before the first scoring
+// pass, not between them.
 func (s *System) SetBackend(b dnn.Backend) {
 	for _, net := range s.Models {
 		net.SetPlanConfig(dnn.PlanConfig{Backend: b})

@@ -1,44 +1,33 @@
 package dnn
 
-import (
-	"repro/internal/qkern"
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // Kernel is one compiled per-layer compute implementation behind a
-// Plan. The plan owns the immutable weights (in whatever layout the
-// kernel wants — dense float, CSR, int8 codes); all mutable per-call
-// state lives in the scratch value, so one kernel instance is shared
-// read-only by every Exec over the plan, exactly like the Plan itself.
+// Plan. The kernel owns the layer's immutable weights in whatever
+// layout it wants (dense rows, CSR, BSR tiles) and keeps no per-call
+// state, so one kernel instance is shared read-only by every Exec over
+// the plan, exactly like the Plan itself.
 //
-// The float kernels ("dense", "sparse", "bsr") are bit-identical to
-// each other by construction; the integer kernels ("int8", "sparse_int8")
-// are deterministic but lossy, bound by the error budget in
-// docs/QUANT.md instead. Adding a kernel means implementing these three
-// methods — kernel selection (Compile), timing (the per-name
-// dnn.kernel_seconds family), Kernels()/Describe readouts, and Exec
-// scratch plumbing all key off Name() and NewScratch() and need no
-// changes.
+// The three FC kernels ("dense", "sparse", "bsr") are bit-identical to
+// each other by construction. Adding a kernel means implementing these
+// two methods — kernel selection (Compile), timing (the per-name
+// dnn.kernel_seconds family) and the Kernels()/Describe readouts all
+// key off Name() and need no changes.
 type Kernel interface {
 	// Name identifies the kernel in Plan.Kernels/Describe and labels
-	// its dnn.kernel_seconds timer ("dense", "sparse", "bsr", "int8",
-	// "sparse_int8"; "-" for non-FC passthrough layers).
+	// its dnn.kernel_seconds timer ("dense", "sparse", "bsr"; "-" for
+	// non-FC passthrough layers).
 	Name() string
-	// NewScratch allocates the kernel's per-Exec mutable state, or
-	// returns nil when the kernel needs none. One scratch value serves
-	// one goroutine.
-	NewScratch() any
 	// MatVec evaluates the layer for one frame: dst = f(in).
-	MatVec(scratch any, dst, in []float64)
+	MatVec(dst, in []float64)
 }
 
 // layerKernel is the passthrough for non-FC layers (pooling, renorm):
 // it evaluates the layer's own Forward and has no weights to re-lay-out.
 type layerKernel struct{ l Layer }
 
-func (k layerKernel) Name() string    { return "-" }
-func (k layerKernel) NewScratch() any { return nil }
-func (k layerKernel) MatVec(_ any, dst, in []float64) {
+func (k layerKernel) Name() string { return "-" }
+func (k layerKernel) MatVec(dst, in []float64) {
 	k.l.Forward(dst, in)
 }
 
@@ -50,9 +39,8 @@ func (k layerKernel) MatVec(_ any, dst, in []float64) {
 // reproduce.
 type denseKernel struct{ fc *FC }
 
-func (k denseKernel) Name() string    { return "dense" }
-func (k denseKernel) NewScratch() any { return nil }
-func (k denseKernel) MatVec(_ any, dst, in []float64) {
+func (k denseKernel) Name() string { return "dense" }
+func (k denseKernel) MatVec(dst, in []float64) {
 	k.fc.Forward(dst, in)
 }
 
@@ -62,9 +50,8 @@ func (k denseKernel) MatVec(_ any, dst, in []float64) {
 // decode results.
 type csrKernel struct{ csr *sparse.Layer }
 
-func (k csrKernel) Name() string    { return "sparse" }
-func (k csrKernel) NewScratch() any { return nil }
-func (k csrKernel) MatVec(_ any, dst, in []float64) {
+func (k csrKernel) Name() string { return "sparse" }
+func (k csrKernel) MatVec(dst, in []float64) {
 	k.csr.MatVec(dst, in)
 }
 
@@ -77,32 +64,7 @@ func (k csrKernel) MatVec(_ any, dst, in []float64) {
 // is where it beats CSR at equal sparsity.
 type bsrKernel struct{ bsr *sparse.BSR }
 
-func (k bsrKernel) Name() string    { return "bsr" }
-func (k bsrKernel) NewScratch() any { return nil }
-func (k bsrKernel) MatVec(_ any, dst, in []float64) {
+func (k bsrKernel) Name() string { return "bsr" }
+func (k bsrKernel) MatVec(dst, in []float64) {
 	k.bsr.MatVec(dst, in)
-}
-
-// int8Kernel is the dense integer kernel: int8 weight codes under one
-// per-layer symmetric scale, activations quantized per frame into the
-// scratch, int32 accumulation, one dequantization per output
-// (internal/qkern). Deterministic, but approximate — covered by the
-// error budget, not bit-identity.
-type int8Kernel struct{ d *qkern.Dense }
-
-func (k int8Kernel) Name() string    { return "int8" }
-func (k int8Kernel) NewScratch() any { return &qkern.Scratch{} }
-func (k int8Kernel) MatVec(s any, dst, in []float64) {
-	k.d.MatVec(s.(*qkern.Scratch), dst, in)
-}
-
-// sparseInt8Kernel is the pruned+quantized hybrid — Deep Compression's
-// deployment regime: the float CSR view's exact index structure with
-// int8 codes in place of float64 values.
-type sparseInt8Kernel struct{ c *qkern.CSR }
-
-func (k sparseInt8Kernel) Name() string    { return "sparse_int8" }
-func (k sparseInt8Kernel) NewScratch() any { return &qkern.Scratch{} }
-func (k sparseInt8Kernel) MatVec(s any, dst, in []float64) {
-	k.c.MatVec(s.(*qkern.Scratch), dst, in)
 }

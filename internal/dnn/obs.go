@@ -21,11 +21,11 @@ var (
 	// Compiled-plan metrics (plan.go): one compile counter, the
 	// per-FC-layer weight density observed at compile time, and one
 	// timer family keyed by compiled kernel name so the per-kernel
-	// split of forward time (dense/sparse/int8/sparse_int8) is directly
-	// readable from /metrics. Children are resolved once at plan
-	// compile time (planLayer.timer), so the hot path never touches the
-	// family's map; a new kernel implementation gets its timing series
-	// by existing.
+	// split of forward time (dense/sparse/bsr) is directly readable
+	// from /metrics. Children are resolved once at plan compile time
+	// (planLayer.timer), so the hot path never touches the family's
+	// map; a new kernel implementation gets its timing series by
+	// existing.
 	obsPlanCompiles = obs.NewCounter("dnn.plan_compiles", "plans",
 		"inference plans compiled (first use and every invalidation)")
 	obsPlanLayerDensity = obs.NewHistogram("dnn.plan_layer_density", "fraction",

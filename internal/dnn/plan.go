@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/obs"
-	"repro/internal/qkern"
 	"repro/internal/sparse"
 )
 
@@ -30,27 +29,17 @@ const (
 	// layers have empty tiles to skip, so forcing BSR elsewhere is a
 	// measurement tool, not a win.
 	BackendBSR Backend = "bsr"
-	// BackendInt8 computes every FC layer in quantized integer form:
-	// int8 weight codes under a per-layer symmetric scale, int32
-	// accumulators, dequantize-once at the layer boundary. Within the
-	// backend the same density policy as BackendAuto picks, per layer,
-	// the sparse-int8 CSR hybrid (pruned+quantized — Deep Compression's
-	// deployment regime) or the dense int8 matvec. Results are
-	// deterministic but approximate: the backend is bound by the error
-	// budget in docs/QUANT.md (top-1 agreement, WER delta vs float),
-	// not by the float backends' bit-identity.
-	BackendInt8 Backend = "int8"
 )
 
 // ParseBackend validates a -backend flag value.
 func ParseBackend(s string) (Backend, error) {
 	switch Backend(s) {
-	case BackendAuto, BackendDense, BackendSparse, BackendBSR, BackendInt8:
+	case BackendAuto, BackendDense, BackendSparse, BackendBSR:
 		return Backend(s), nil
 	case "":
 		return BackendAuto, nil
 	}
-	return "", fmt.Errorf("dnn: unknown backend %q (want auto, dense, sparse, bsr or int8)", s)
+	return "", fmt.Errorf("dnn: unknown backend %q (want one of auto, dense, sparse, bsr)", s)
 }
 
 // DefaultBSRBlock is the tile edge used when BackendBSR is forced on a
@@ -58,32 +47,17 @@ func ParseBackend(s string) (Backend, error) {
 const DefaultBSRBlock = 8
 
 // DefaultDensityThreshold is the weight density at or below which
-// BackendAuto selects the sparse kernel (and BackendInt8 the
-// sparse-int8 hybrid). CSR pays an index load and a gathered input
-// read per nonzero, so it only wins once enough of the dense row is
-// skippable; ~1/3 density is comfortably past breakeven on every
-// machine this was measured on, while the paper's 70/80/90% pruning
-// levels sit far below it.
+// BackendAuto selects a sparse kernel. CSR pays an index load and a
+// gathered input read per nonzero, so it only wins once enough of the
+// dense row is skippable; ~1/3 density is comfortably past breakeven
+// on every machine this was measured on, while the paper's 70/80/90%
+// pruning levels sit far below it.
 const DefaultDensityThreshold = 1.0 / 3
 
 // PlanConfig controls kernel selection when compiling a plan.
 type PlanConfig struct {
 	// Backend is the kernel policy (default BackendAuto).
 	Backend Backend
-	// DensityThreshold overrides DefaultDensityThreshold for the
-	// density-based per-layer choice under BackendAuto and BackendInt8
-	// (<= 0 selects the default).
-	DensityThreshold float64
-}
-
-func (c PlanConfig) withDefaults() PlanConfig {
-	if c.Backend == "" {
-		c.Backend = BackendAuto
-	}
-	if c.DensityThreshold <= 0 {
-		c.DensityThreshold = DefaultDensityThreshold
-	}
-	return c
 }
 
 // planLayer is one compiled execution step: the original layer plus,
@@ -102,21 +76,19 @@ type planLayer struct {
 
 // Plan is a compiled inference plan: one immutable kernel schedule
 // built from a snapshot of a Network's weights. A Plan selects one
-// Kernel per layer — float dense, CSR sparse or BSR block-sparse
-// (bit-identical to each other by construction), or under BackendInt8
-// their quantized counterparts (deterministic, error-budget-bounded) — and
-// pre-computes the CSR views so consumers like the accelerator
-// simulator never re-compress a layer.
+// Kernel per layer — float dense, CSR sparse or BSR block-sparse,
+// bit-identical to each other by construction — and pre-computes the
+// CSR views so consumers like the accelerator simulator never
+// re-compress a layer.
 //
 // Ownership contract (DESIGN.md §6c): a Plan is shared read-only — any
 // number of goroutines may execute it concurrently, each through its
-// own Exec, which owns all mutable scratch (activations and kernel
-// scratch alike). The Plan does not observe later mutations of the
-// source Network; retraining, pruning or quantizing the network
-// invalidates previously compiled plans (Network.Plan recompiles
-// automatically, hand-compiled plans must be rebuilt by the caller).
+// own Exec, which owns all mutable scratch (the activations). The Plan
+// does not observe later mutations of the source Network; retraining,
+// pruning or quantizing the network invalidates previously compiled
+// plans (Network.Plan recompiles automatically, hand-compiled plans
+// must be rebuilt by the caller).
 type Plan struct {
-	cfg    PlanConfig
 	layers []planLayer
 	inDim  int
 	outDim int
@@ -126,8 +98,10 @@ type Plan struct {
 // The network is only read; the returned plan holds no reference to
 // the network's scratch state.
 func Compile(net *Network, cfg PlanConfig) *Plan {
-	cfg = cfg.withDefaults()
-	p := &Plan{cfg: cfg, inDim: net.InDim(), outDim: net.OutDim()}
+	if cfg.Backend == "" {
+		cfg.Backend = BackendAuto
+	}
+	p := &Plan{inDim: net.InDim(), outDim: net.OutDim()}
 	for _, l := range net.Layers {
 		pl := planLayer{layer: l, density: 1}
 		if fc, ok := l.(*FC); ok {
@@ -135,16 +109,14 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 			if n := fc.WeightCount(); n > 0 {
 				pl.density = float64(fc.W.NNZ()) / float64(n)
 			}
-			// The density policy is shared by auto, bsr and int8:
-			// sparse layouts only win below the threshold, in float and
-			// in int8 alike. Below it, block metadata promotes the
-			// layer from CSR to BSR under auto.
-			belowThreshold := pl.density <= cfg.DensityThreshold
+			// Sparse layouts only win below the density threshold.
+			// Below it, block metadata promotes the layer from CSR to
+			// BSR under auto.
+			belowThreshold := pl.density <= DefaultDensityThreshold
 			wantBSR := cfg.Backend == BackendBSR ||
 				(cfg.Backend == BackendAuto && fc.BlockSize > 0 && belowThreshold)
 			wantCSR := cfg.Backend == BackendSparse ||
-				(cfg.Backend != BackendDense && cfg.Backend != BackendBSR &&
-					belowThreshold && !wantBSR)
+				(cfg.Backend == BackendAuto && belowThreshold && !wantBSR)
 			// Compile the CSR view whenever a CSR-shaped kernel needs
 			// it, and for every masked layer regardless of kernel
 			// choice: the accelerator simulator analyzes pruned layers
@@ -165,10 +137,6 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 				pl.bsr = sparse.FromDenseBSR(fc.W, fc.B, block)
 			}
 			switch {
-			case cfg.Backend == BackendInt8 && wantCSR:
-				pl.kern = sparseInt8Kernel{qkern.FromCSR(pl.csr)}
-			case cfg.Backend == BackendInt8:
-				pl.kern = int8Kernel{qkern.FromMatrix(fc.W, fc.B)}
 			case wantBSR:
 				pl.kern = bsrKernel{pl.bsr}
 			case wantCSR:
@@ -194,10 +162,6 @@ func (p *Plan) InDim() int { return p.inDim }
 // OutDim reports the number of output classes (senones).
 func (p *Plan) OutDim() int { return p.outDim }
 
-// Config returns the configuration the plan was compiled under
-// (defaults filled in).
-func (p *Plan) Config() PlanConfig { return p.cfg }
-
 // Sparse returns the compiled CSR view of layer i, or nil when none
 // was built (non-FC layers and unmasked dense-kernel layers). The
 // returned layer is shared read-only.
@@ -209,9 +173,9 @@ func (p *Plan) Sparse(i int) *sparse.Layer { return p.layers[i].csr }
 func (p *Plan) BSR(i int) *sparse.BSR { return p.layers[i].bsr }
 
 // Kernels reports the chosen kernel name per layer ("dense", "sparse",
-// "bsr", "int8", "sparse_int8", or "-" for non-FC layers) for logs and
-// tests. The names come straight from the compiled kernels, so
-// Describe and Kernels can never disagree.
+// "bsr", or "-" for non-FC layers) for logs and tests. The names come
+// straight from the compiled kernels, so Describe and Kernels can
+// never disagree.
 func (p *Plan) Kernels() []string {
 	out := make([]string, len(p.layers))
 	for i := range p.layers {
@@ -221,7 +185,7 @@ func (p *Plan) Kernels() []string {
 }
 
 // Describe summarizes the plan for startup logs: per-FC kernel and
-// density, e.g. "FC0:dense(1.00) FC1:sparse_int8(0.10)". Kernel names
+// density, e.g. "FC0:dense(1.00) FC1:bsr(0.10)". Kernel names
 // are the same strings Kernels returns.
 func (p *Plan) Describe() string {
 	s := ""
@@ -249,23 +213,12 @@ func (p *Plan) newActivations() [][]float64 {
 	return acts
 }
 
-// newScratch allocates one set of per-layer kernel scratch values
-// (nil entries for kernels that need none).
-func (p *Plan) newScratch() []any {
-	scratch := make([]any, len(p.layers))
-	for i := range p.layers {
-		scratch[i] = p.layers[i].kern.NewScratch()
-	}
-	return scratch
-}
-
 // NewExec returns a fresh executor over the plan. The Exec owns all
-// mutable scratch (activations plus each kernel's own scratch), so one
-// plan may be shared by any number of concurrent Execs; each
-// individual Exec is single-goroutine, like the Network methods it
-// replaces.
+// mutable scratch (the activation buffers), so one plan may be shared
+// by any number of concurrent Execs; each individual Exec is
+// single-goroutine, like the Network methods it replaces.
 func (p *Plan) NewExec() *Exec {
-	return &Exec{plan: p, acts: p.newActivations(), scratch: p.newScratch()}
+	return &Exec{plan: p, acts: p.newActivations()}
 }
 
 // Exec executes a compiled plan. It is the per-worker counterpart of
@@ -273,9 +226,8 @@ func (p *Plan) NewExec() *Exec {
 // the plan. The zero value is not usable; obtain one from
 // Plan.NewExec.
 type Exec struct {
-	plan    *Plan
-	acts    [][]float64 // activations, acts[0] = input copy
-	scratch []any       // per-layer kernel scratch, scratch[i] for layer i
+	plan *Plan
+	acts [][]float64 // activations, acts[0] = input copy
 }
 
 // Plan returns the shared plan this executor runs.
@@ -293,7 +245,7 @@ func (e *Exec) Logits(in []float64) []float64 {
 	layers := e.plan.layers
 	if !obs.Enabled() {
 		for i := range layers {
-			layers[i].kern.MatVec(e.scratch[i], acts[i+1], acts[i])
+			layers[i].kern.MatVec(acts[i+1], acts[i])
 		}
 		return acts[len(layers)]
 	}
@@ -301,7 +253,7 @@ func (e *Exec) Logits(in []float64) []float64 {
 	for i := range layers {
 		pl := &layers[i]
 		ksp := pl.timer.Start()
-		pl.kern.MatVec(e.scratch[i], acts[i+1], acts[i])
+		pl.kern.MatVec(acts[i+1], acts[i])
 		ksp.Stop()
 	}
 	sp.Stop()

@@ -57,7 +57,7 @@ func benchBlockNet(target float64) *dnn.Network {
 }
 
 // BenchmarkForward measures one single-frame forward pass per
-// backend and pruning level. At p90 the sparse CSR kernels touch ~10%
+// backend and pruning level. At p90 the sparse CSR kernel touches ~10%
 // of the weights the dense rows walk, but pay an index load and a
 // gathered input read per weight, against dense's four add chains in
 // flight over contiguous rows — hence ~3x, not 10x; at p0 sparse
@@ -77,7 +77,7 @@ func BenchmarkForward(b *testing.B) {
 		in := make([]float64, net.InDim())
 		mat.NewRNG(3).FillNorm(in, 0, 1)
 		out := make([]float64, net.OutDim())
-		for _, backend := range []dnn.Backend{dnn.BackendDense, dnn.BackendSparse, dnn.BackendInt8} {
+		for _, backend := range []dnn.Backend{dnn.BackendDense, dnn.BackendSparse} {
 			ex := dnn.Compile(net, dnn.PlanConfig{Backend: backend}).NewExec()
 			b.Run(fmt.Sprintf("%s/%s", backend, level.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
-// BSR backend tests: block-pruned bit-identity, the density-policy
-// selection boundary for all five kernels, and the shared-plan
-// ownership contract for the bsr kernel.
+// BSR backend tests: block-pruned bit-identity, auto's density-policy
+// selection boundary, and the shared-plan ownership contract for the
+// bsr kernel.
 package dnn_test
 
 import (
@@ -134,41 +134,43 @@ func TestPlanBSRSurvivesPruneThenRetrain(t *testing.T) {
 	}
 }
 
-// TestDensityPolicyBoundary pins the auto/int8 density threshold for
-// all five kernels: for each trainable FC, a plan whose threshold sits
-// just above the layer's density must select the sparse-shaped kernel
-// (bsr with block metadata, sparse without; sparse_int8 under int8),
-// and a threshold just below must fall back to the dense-shaped one
-// (dense; int8 under int8).
+// TestDensityPolicyBoundary pins auto's density threshold
+// (DefaultDensityThreshold, 1/3) with two models pruned to either side
+// of it: every trainable FC of the sparser model must select the
+// sparse-shaped kernel (bsr with block metadata, sparse without), and
+// every one of the denser model must stay on dense.
 func TestDensityPolicyBoundary(t *testing.T) {
+	const sparser, denser = 0.7, 0.6 // pruned fractions either side of 2/3
 	cases := []struct {
-		name         string
-		net          *dnn.Network
-		backend      dnn.Backend
-		below, above string // kernel expected when density is below / above threshold
+		name  string
+		build func(target float64) *dnn.Network
+		below string // kernel expected at or below the threshold
 	}{
-		{"auto_unstructured", prunedNet(t, 0.5), dnn.BackendAuto, "sparse", "dense"},
-		{"auto_block", blockPrunedNet(t, 0.5, 4), dnn.BackendAuto, "bsr", "dense"},
-		{"int8_unstructured", prunedNet(t, 0.5), dnn.BackendInt8, "sparse_int8", "int8"},
+		{"auto_unstructured", func(f float64) *dnn.Network { return prunedNet(t, f) }, "sparse"},
+		{"auto_block", func(f float64) *dnn.Network { return blockPrunedNet(t, f, 4) }, "bsr"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for i, l := range tc.net.Layers {
-				fc, ok := l.(*dnn.FC)
-				if !ok || !fc.Trainable {
-					continue
-				}
-				density := float64(fc.W.NNZ()) / float64(fc.WeightCount())
-				if density <= 0.02 || density >= 0.98 {
-					t.Fatalf("layer %s density %.3f too extreme to probe the boundary", fc.LayerName, density)
-				}
-				loose := dnn.Compile(tc.net, dnn.PlanConfig{Backend: tc.backend, DensityThreshold: density + 0.01})
-				tight := dnn.Compile(tc.net, dnn.PlanConfig{Backend: tc.backend, DensityThreshold: density - 0.01})
-				if k := loose.Kernels()[i]; k != tc.below {
-					t.Errorf("layer %s below threshold: kernel %s, want %s", fc.LayerName, k, tc.below)
-				}
-				if k := tight.Kernels()[i]; k != tc.above {
-					t.Errorf("layer %s above threshold: kernel %s, want %s", fc.LayerName, k, tc.above)
+			for _, side := range []struct {
+				target float64
+				want   string
+			}{{sparser, tc.below}, {denser, "dense"}} {
+				net := tc.build(side.target)
+				kernels := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendAuto}).Kernels()
+				for i, l := range net.Layers {
+					fc, ok := l.(*dnn.FC)
+					if !ok || !fc.Trainable {
+						continue
+					}
+					density := float64(fc.W.NNZ()) / float64(fc.WeightCount())
+					if below := density <= dnn.DefaultDensityThreshold; below != (side.want != "dense") {
+						t.Fatalf("p%.0f layer %s density %.3f is on the wrong side of %.3f to probe the boundary",
+							100*side.target, fc.LayerName, density, dnn.DefaultDensityThreshold)
+					}
+					if kernels[i] != side.want {
+						t.Errorf("p%.0f layer %s (density %.3f): kernel %s, want %s",
+							100*side.target, fc.LayerName, density, kernels[i], side.want)
+					}
 				}
 			}
 		})

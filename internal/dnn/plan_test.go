@@ -6,6 +6,7 @@ package dnn_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -259,5 +260,53 @@ func TestNetworkWrapperRecompiles(t *testing.T) {
 	}
 	if bitsEqual(before, after) {
 		t.Fatal("pruning 90% of weights did not change the logits — invalidation untestable")
+	}
+}
+
+// TestParseBackend pins the -backend vocabulary: the four kernel
+// policies parse, "" means auto, and anything else — including the
+// names of the two retired int8 kernels, dense and sparse — is refused
+// with the valid list.
+func TestParseBackend(t *testing.T) {
+	for _, s := range []string{"auto", "dense", "sparse", "bsr"} {
+		if b, err := dnn.ParseBackend(s); err != nil || string(b) != s {
+			t.Errorf("ParseBackend(%q) = %v, %v", s, b, err)
+		}
+	}
+	if b, err := dnn.ParseBackend(""); err != nil || b != dnn.BackendAuto {
+		t.Errorf(`ParseBackend("") = %v, %v; want auto`, b, err)
+	}
+	for _, s := range []string{"int8", string(dnn.BackendSparse) + "_int8", "int4"} {
+		if _, err := dnn.ParseBackend(s); err == nil ||
+			!strings.Contains(err.Error(), "auto, dense, sparse, bsr") {
+			t.Errorf("ParseBackend(%q) should fail listing auto, dense, sparse, bsr: %v", s, err)
+		}
+	}
+}
+
+// TestDescribeMatchesKernels pins that Describe's kernel names come
+// from the same source as Kernels() for every backend, so a new kernel
+// can never make the startup log lie.
+func TestDescribeMatchesKernels(t *testing.T) {
+	net := prunedNet(t, 0.9)
+	for _, b := range []dnn.Backend{dnn.BackendAuto, dnn.BackendDense, dnn.BackendSparse, dnn.BackendBSR} {
+		plan := dnn.Compile(net, dnn.PlanConfig{Backend: b})
+		kernels := plan.Kernels()
+		var want []string
+		for i, l := range net.Layers {
+			if fc, ok := l.(*dnn.FC); ok {
+				want = append(want, fmt.Sprintf("%s:%s", fc.LayerName, kernels[i]))
+			}
+		}
+		desc := plan.Describe()
+		fields := strings.Fields(desc)
+		if len(fields) != len(want) {
+			t.Fatalf("%s: Describe has %d entries, want %d: %q", b, len(fields), len(want), desc)
+		}
+		for i, f := range fields {
+			if !strings.HasPrefix(f, want[i]+"(") {
+				t.Errorf("%s: Describe entry %d = %q, want prefix %q", b, i, f, want[i])
+			}
+		}
 	}
 }

@@ -70,7 +70,7 @@ func Fig1(sys *asr.System) (*Table, error) {
 // Fig3 reproduces Figure 3: average DNN confidence per pruning level
 // over the whole test set, alongside the top-1/top-5 accuracies that
 // Section II-B reports staying nearly flat. The trailing columns
-// extend the sweep to the int8 backend (appended last so the
+// extend the sweep to the int8 forward pass (appended last so the
 // confidence column keeps its position for downstream parsers): the
 // same model's mean confidence under quantized inference and its top-1
 // agreement with the float scores. The int8 table drills into the

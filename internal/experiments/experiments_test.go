@@ -6,6 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/asr"
+	"repro/internal/dnn"
+	"repro/internal/qkern"
+	"repro/internal/quant"
+	"repro/internal/speech"
 )
 
 func tinySys(t *testing.T) *asr.System {
@@ -118,8 +122,8 @@ func TestFig3ConfidenceMonotone(t *testing.T) {
 }
 
 // TestInt8TableWithinErrorBudget pins that the int8 experiment's
-// measurements satisfy the backend's acceptance contract at the
-// budgeted pruning levels: top-1 agreement >= 99% and WER within 0.5
+// measurements satisfy the int8 pass's error budget at the budgeted
+// pruning levels: top-1 agreement >= 99% and WER within 0.5
 // absolute points of float (docs/QUANT.md). Reading them back out of
 // the rendered table also pins the column layout the notes cite.
 func TestInt8TableWithinErrorBudget(t *testing.T) {
@@ -152,6 +156,39 @@ func TestInt8TableWithinErrorBudget(t *testing.T) {
 	}
 	if checked != 3 {
 		t.Fatalf("checked %d budgeted levels, want 3", checked)
+	}
+}
+
+// TestInt8ErrorBudgetAfterCodebookQuantize stacks the full Deep
+// Compression pipeline — prune, retrain, codebook-quantize — and then
+// runs the int8 pass on top: the error budget must hold against the
+// float plan on the same codebook-quantized weights.
+func TestInt8ErrorBudgetAfterCodebookQuantize(t *testing.T) {
+	sys := tinySys(t)
+	qnet, _, err := quant.Quantize(sys.Models[90], 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fltEx := dnn.Compile(qnet, dnn.PlanConfig{}).NewExec()
+	qn := qkern.Compile(qnet)
+	flt := make([][][]float64, len(sys.TestSet))
+	q := make([][][]float64, len(sys.TestSet))
+	for i, u := range sys.TestSet {
+		for _, in := range speech.SpliceAll(u.Frames, sys.Scale.Context) {
+			fv := make([]float64, sys.World.NumSenones())
+			qv := make([]float64, sys.World.NumSenones())
+			fltEx.LogPosteriors(fv, in)
+			qn.LogPosteriors(qv, in)
+			flt[i] = append(flt[i], fv)
+			q[i] = append(q[i], qv)
+		}
+	}
+	if agr := agreeTop1(flt, q); agr < 0.99 {
+		t.Errorf("top-1 posterior agreement %.4f < 0.99 after codebook quantize", agr)
+	}
+	fltWER, qWER := corpusWER(sys, flt), corpusWER(sys, q)
+	if d := qWER - fltWER; d > 0.5 || d < -0.5 {
+		t.Errorf("WER delta %.2f outside +-0.5 (float %.2f%%, int8 %.2f%%)", d, fltWER, qWER)
 	}
 }
 

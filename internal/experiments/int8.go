@@ -8,15 +8,15 @@ import (
 	"repro/internal/asr"
 	"repro/internal/control"
 	"repro/internal/decoder"
-	"repro/internal/dnn"
 	"repro/internal/mat"
+	"repro/internal/qkern"
 	"repro/internal/speech"
 	"repro/internal/wer"
 )
 
-// int8ScoreCache memoizes the int8 backend's test-set scores per
+// int8ScoreCache memoizes the int8 pass's test-set scores per
 // (system, pruning level), mirroring System.Scores for the float
-// backends: Fig3's trailing int8 columns and the int8 table share one
+// kernels: Fig3's trailing int8 columns and the int8 table share one
 // forward pass per level instead of recomputing it.
 var (
 	int8Mu    sync.Mutex
@@ -24,10 +24,9 @@ var (
 )
 
 // int8Scores computes (once, caching) the per-frame log-posteriors of
-// every test utterance through a freshly compiled int8 plan of the
-// model at the given pruning level. The plan is compiled directly
-// rather than via System.SetBackend so the system's own float score
-// cache — which is keyed by level only — stays valid next to these.
+// every test utterance through the int8 forward pass (qkern.Compile)
+// of the model at the given pruning level. The system's own float
+// score cache is keyed by level only and stays valid next to these.
 func int8Scores(sys *asr.System, level int) [][][]float64 {
 	int8Mu.Lock()
 	defer int8Mu.Unlock()
@@ -39,14 +38,14 @@ func int8Scores(sys *asr.System, level int) [][][]float64 {
 	if sc, ok := byLevel[level]; ok {
 		return sc
 	}
-	ex := dnn.Compile(sys.Models[level], dnn.PlanConfig{Backend: dnn.BackendInt8}).NewExec()
+	qn := qkern.Compile(sys.Models[level])
 	all := make([][][]float64, len(sys.TestSet))
 	for i, u := range sys.TestSet {
 		spliced := speech.SpliceAll(u.Frames, sys.Scale.Context)
 		scores := make([][]float64, len(spliced))
 		for f, in := range spliced {
 			vec := make([]float64, sys.World.NumSenones())
-			ex.LogPosteriors(vec, in)
+			qn.LogPosteriors(vec, in)
 			scores[f] = vec
 		}
 		all[i] = scores
@@ -141,7 +140,7 @@ func adaptiveMeanBeam(sys *asr.System, scores [][][]float64) (float64, error) {
 	return beamSum / float64(frames), nil
 }
 
-// Int8Table extends the confidence-collapse sweep to the int8 backend:
+// Int8Table extends the confidence-collapse sweep to the int8 pass:
 // for every pruning level, the float and int8 score sets side by side
 // — top-1 agreement, confidence, score entropy, static-beam WER, and
 // the adaptive controller's mean beam under each. It answers the

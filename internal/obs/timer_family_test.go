@@ -11,7 +11,7 @@ func TestTimerFamilyRegistersOneName(t *testing.T) {
 	r := NewRegistry("tf")
 	f := NewTimerFamilyIn(r, "x.kernel_seconds", "kernel", "per-kernel time")
 	f.With("dense")
-	f.With("int8")
+	f.With("bsr")
 	names := r.Names()
 	if len(names) != 1 || names[0] != "x.kernel_seconds" {
 		t.Fatalf("registry names = %v, want just the family name", names)
@@ -66,7 +66,7 @@ func TestTimerFamilyConcurrentWith(t *testing.T) {
 	r.SetEnabled(true)
 	f := NewTimerFamilyIn(r, "x.kernel_seconds", "kernel", "per-kernel time")
 	var wg sync.WaitGroup
-	names := []string{"dense", "sparse", "int8", "sparse_int8"}
+	names := []string{"dense", "sparse", "bsr", "-"}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -89,14 +89,14 @@ func TestTimerFamilySnapshotAndText(t *testing.T) {
 	r := NewRegistry("tf")
 	r.SetEnabled(true)
 	f := NewTimerFamilyIn(r, "x.kernel_seconds", "kernel", "per-kernel time")
-	f.With("int8").Start().Stop()
+	f.With("bsr").Start().Stop()
 
 	snap := f.snapshot()
 	if snap["type"] != "timer_family" || snap["label"] != "kernel" {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	values, ok := snap["values"].(map[string]any)
-	if !ok || values["int8"] == nil {
+	if !ok || values["bsr"] == nil {
 		t.Fatalf("snapshot values = %v", snap["values"])
 	}
 
@@ -104,7 +104,7 @@ func TestTimerFamilySnapshotAndText(t *testing.T) {
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "timer_family") || !strings.Contains(sb.String(), "int8{n=1") {
+	if !strings.Contains(sb.String(), "timer_family") || !strings.Contains(sb.String(), "bsr{n=1") {
 		t.Fatalf("WriteText missing timer_family line:\n%s", sb.String())
 	}
 }

@@ -1,11 +1,11 @@
-// Package qkern implements the integer compute kernels behind the
-// `int8` inference backend: per-layer affine quantization (scale +
-// zero point — symmetric for weights, asymmetric per frame for
-// activations) and integer matrix-vector products with int32
-// accumulators that dequantize once at the layer boundary. It is the
-// quantized sibling of internal/sparse — internal/dnn's compiled
-// plans wrap both behind the same per-layer kernel interface — and
-// the single source of truth for the int8 affine arithmetic.
+// Package qkern is the reproduction's int8 forward pass: per-layer
+// affine quantization (scale + zero point — symmetric for weights,
+// asymmetric per frame for activations), an integer matrix-vector
+// product with int32 accumulators that dequantizes once at the layer
+// boundary, and Compile/Net, which run a whole dnn.Network with every
+// FC layer on that product. It is the single source of truth for the
+// int8 arithmetic behind the int8 experiment (internal/experiments)
+// and is not a serving backend: docs/QUANT.md records why.
 //
 // The representation is Deep Compression's deployment regime (the
 // paper's reference [2], and PAPERS.md's Accelerator-Aware Pruning):
@@ -16,9 +16,9 @@
 // transient per-frame scratch, so they get the finer 12-bit grid that
 // keeps top-1 posteriors inside the error budget on heavily pruned
 // (flat-scored) models — see docs/QUANT.md for the bit-width
-// rationale. Unlike the float CSR kernel — whose ascending-column
-// accumulation is bit-identical to the dense sum — a quantized kernel
-// is inherently lossy, so its contract is an error budget (top-1
+// rationale. Unlike the float kernels — whose ascending-column
+// accumulation makes dense, CSR and BSR bit-identical — a quantized
+// pass is inherently lossy, so its contract is an error budget (top-1
 // agreement, WER delta) rather than bit identity.
 package qkern
 
@@ -26,8 +26,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dnn"
 	"repro/internal/mat"
-	"repro/internal/sparse"
 )
 
 // QMax is the symmetric weight quantization range: codes span
@@ -54,12 +54,10 @@ const maxAccumCols = (1<<31 - 1) / (QMax * ActQMax)
 //
 // Weight tensors always use the symmetric special case ZeroPoint ==
 // 0: a symmetric grid maps real 0.0 to code 0 exactly, which keeps
-// pruned (exactly-zero) weights at zero codes — the property that
-// lets the CSR hybrid reuse the float kernel's index structure
-// unchanged and keeps dnnsim's sparsity analysis valid. Activations
-// use the general asymmetric form (ActParamsOf), whose zero point the
-// kernels fold out of the accumulated products with precomputed row
-// sums.
+// pruned (exactly-zero) weights at zero codes, so quantizing never
+// changes a layer's sparsity pattern. Activations use the general
+// asymmetric form (ActParamsOf), whose zero point the kernel folds out
+// of the accumulated products with precomputed row sums.
 type Params struct {
 	Scale     float64
 	ZeroPoint int32
@@ -193,10 +191,9 @@ func (p Params) DequantizeAct(c int32) float64 {
 // correlated component, which is what the dot product against
 // correlated activations (e.g. spliced context frames) actually sees.
 // Exact zeros — what a pruning mask leaves behind — keep code 0 and
-// carry no residual, so a CSR build that only sees a row's stored
-// nonzeros produces bit-identical codes to the dense build (the
-// skipped zeros never touch the feedback state). Symmetric grids only
-// (weights); panics on a nonzero zero point.
+// carry no residual, so a row's codes depend only on its nonzeros in
+// column order: the skipped zeros never touch the feedback state.
+// Symmetric grids only (weights); panics on a nonzero zero point.
 func (p Params) QuantizeRow(q []int8, w []float64) {
 	if len(q) != len(w) {
 		panic(fmt.Sprintf("qkern: QuantizeRow dst %d != src %d", len(q), len(w)))
@@ -231,8 +228,7 @@ func (p Params) QuantizeRow(q []int8, w []float64) {
 
 // Dense is an out×in weight matrix stored as int8 codes under one
 // symmetric Params, with float64 biases applied after dequantization.
-// Like sparse.Layer it is shared read-only once built; per-call
-// scratch lives in a Scratch.
+// It is read-only once built; per-call scratch lives in a Scratch.
 type Dense struct {
 	Rows, Cols int
 	Q          []int8 // row-major, len Rows*Cols
@@ -271,11 +267,11 @@ func FromMatrix(w *mat.Matrix, bias []float64) *Dense {
 	return d
 }
 
-// Scratch holds the per-caller activation-quantization buffers of the
-// integer kernels. One Scratch serves one goroutine; buffers grow on
-// demand and are reused across calls. Codes are kept widened to int32
-// — the dot kernels read them without a sign-extension per element,
-// which is what puts the int8 backend ahead of the float dense path.
+// Scratch holds the per-caller activation-quantization buffer of the
+// integer kernel. One Scratch serves one goroutine; the buffer grows
+// on demand and is reused across calls. Codes are kept widened to
+// int32 so the dot kernel reads them without a sign-extension per
+// element.
 type Scratch struct {
 	q []int32 // quantized input frame
 }
@@ -294,8 +290,9 @@ func (s *Scratch) frame(x []float64) ([]int32, Params) {
 
 // dot accumulates the int8-weight × activation-code dot product in
 // int32. The 8-way unrolling into four independent accumulators keeps
-// enough adds in flight to stay ahead of the dense float path; the
-// leading reslice of q lets the compiler drop its bounds checks.
+// four add chains in flight; the leading reslice of q lets the
+// compiler drop its bounds checks. Integer sums are exact, so the
+// order of accumulation cannot change the result.
 func dot(w []int8, q []int32) int32 {
 	q = q[:len(w)]
 	var a0, a1, a2, a3 int32
@@ -335,80 +332,54 @@ func (d *Dense) MatVec(s *Scratch, dst, x []float64) {
 	}
 }
 
-// CSR is the sparse-int8 hybrid: the float CSR kernel's exact index
-// structure (row pointers + column indices) with int8 weight codes in
-// place of float64 weights — Deep Compression's deployment regime for
-// pruned-then-quantized layers. Small nonzeros may quantize to code
-// 0; they keep their slots, so the structure (and any analysis over
-// it) is identical to the float CSR view it was built from.
-type CSR struct {
-	Rows, ColsDim int
-	RowPtr        []int32
-	Cols          []int32
-	Q             []int8
-	P             Params
-	Bias          []float64
-	// RowSum[r] is the sum of row r's stored codes (zeros outside the
-	// structure contribute nothing), for the same zero-point folding
-	// as Dense.RowSum.
-	RowSum []int32
+// Net is a dnn.Network compiled for the int8 forward pass: every FC
+// layer runs Dense.MatVec over its quantized weights, every other
+// layer (pooling, renorm) its own float Forward, and the pass ends in
+// a float log-softmax. A Net owns its activation and quantization
+// scratch, so it is single-goroutine; compile one per goroutine.
+type Net struct {
+	layers []dnn.Layer
+	fcs    []*Dense    // fcs[i] is layer i's quantized weights; nil for non-FC layers
+	acts   [][]float64 // acts[i] is layer i's output
+	s      Scratch
 }
 
-// FromCSR quantizes the weights of a float CSR layer under one
-// symmetric Params, aliasing the RowPtr/Cols index structure (shared
-// read-only, like the layer itself) and copying the bias. Each row's
-// stored values are exactly the dense row's nonzeros in column order,
-// so QuantizeRow's error feedback visits them in the same sequence as
-// a dense build and the codes come out bit-identical.
-func FromCSR(l *sparse.Layer) *CSR {
-	if l.ColsDim > maxAccumCols {
-		panic(fmt.Sprintf("qkern: %d columns would overflow the int32 accumulator (max %d)", l.ColsDim, maxAccumCols))
+// Compile quantizes every FC layer of net. The network is only read,
+// and later changes to its weights are not seen by the returned Net.
+// It panics, like FromMatrix, on a layer wider than the int32
+// accumulator allows.
+func Compile(net *dnn.Network) *Net {
+	n := &Net{
+		layers: net.Layers,
+		fcs:    make([]*Dense, len(net.Layers)),
+		acts:   make([][]float64, len(net.Layers)),
 	}
-	c := &CSR{
-		Rows: l.Rows, ColsDim: l.ColsDim,
-		RowPtr: l.RowPtr, Cols: l.Cols,
-		Q: make([]int8, len(l.Weights)),
-		P: ParamsOf(l.Weights),
-	}
-	c.RowSum = make([]int32, c.Rows)
-	for r := 0; r < c.Rows; r++ {
-		c.P.QuantizeRow(c.Q[c.RowPtr[r]:c.RowPtr[r+1]], l.Weights[c.RowPtr[r]:c.RowPtr[r+1]])
-		var s int32
-		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
-			s += int32(c.Q[k])
+	for i, l := range net.Layers {
+		if fc, ok := l.(*dnn.FC); ok {
+			n.fcs[i] = FromMatrix(fc.W, fc.B)
 		}
-		c.RowSum[r] = s
+		n.acts[i] = make([]float64, l.OutDim())
 	}
-	if l.Bias != nil {
-		c.Bias = append([]float64(nil), l.Bias...)
-	}
-	return c
+	return n
 }
 
-// NNZ reports the number of stored codes (including any that
-// quantized to 0).
-func (c *CSR) NNZ() int { return len(c.Q) }
+// Logits computes the pre-softmax outputs for one input frame. The
+// returned slice is reused by the next call; copy it to retain.
+func (n *Net) Logits(in []float64) []float64 {
+	x := in
+	for i, l := range n.layers {
+		if d := n.fcs[i]; d != nil {
+			d.MatVec(&n.s, n.acts[i], x)
+		} else {
+			l.Forward(n.acts[i], x)
+		}
+		x = n.acts[i]
+	}
+	return x
+}
 
-// MatVec computes dst = dequant(C·quant(x)) (+ bias), gathering
-// quantized inputs by column index and accumulating in int32.
-func (c *CSR) MatVec(s *Scratch, dst, x []float64) {
-	if len(x) != c.ColsDim || len(dst) != c.Rows {
-		panic(fmt.Sprintf("qkern: CSR MatVec dimension mismatch: layer %dx%d, x %d, dst %d",
-			c.Rows, c.ColsDim, len(x), len(dst)))
-	}
-	q, xp := s.frame(x)
-	step := c.P.Scale * xp.Scale
-	zp := int64(xp.ZeroPoint)
-	for r := 0; r < c.Rows; r++ {
-		lo, hi := c.RowPtr[r], c.RowPtr[r+1]
-		var acc int32
-		for k := lo; k < hi; k++ {
-			acc += int32(c.Q[k]) * q[c.Cols[k]]
-		}
-		v := float64(int64(acc)-zp*int64(c.RowSum[r])) * step
-		if c.Bias != nil {
-			v += c.Bias[r]
-		}
-		dst[r] = v
-	}
+// LogPosteriors writes the log-softmax of the frame's logits into dst:
+// the acoustic scores the Viterbi search consumes.
+func (n *Net) LogPosteriors(dst, in []float64) {
+	mat.LogSoftmax(dst, n.Logits(in))
 }

@@ -270,11 +270,11 @@ func TestQuantizeDeterministic(t *testing.T) {
 	}
 }
 
-// TestQuantizeLeavesFrozenAndPrunedUntouched is the regression pinned
-// by the int8 work: on a prune-retrained net, Quantize must leave
-// frozen layers bit-identical and every masked-out weight at exactly
-// zero — the invariants the sparse-int8 hybrid's shared CSR index
-// structure relies on.
+// TestQuantizeLeavesFrozenAndPrunedUntouched: on a prune-retrained
+// net, Quantize must leave frozen layers bit-identical and every
+// masked-out weight at exactly zero, so codebook quantization never
+// changes a layer's sparsity pattern or the CSR/BSR views compiled
+// from it.
 func TestQuantizeLeavesFrozenAndPrunedUntouched(t *testing.T) {
 	net := retrainedNet(t, 0.8)
 	q, _, err := Quantize(net, 5)

@@ -15,7 +15,7 @@ import (
 type VariantSpec struct {
 	Name    string `json:"name"`
 	Model   string `json:"model"`
-	Backend string `json:"backend,omitempty"` // auto (default), dense, sparse, bsr, or int8
+	Backend string `json:"backend,omitempty"` // auto (default), dense, sparse, or bsr
 }
 
 // Manifest is the multi-model configuration cmd/asrserve loads with
@@ -26,7 +26,7 @@ type VariantSpec struct {
 //	  "variants": [
 //	    {"name": "tiny-dense",  "model": "models/tiny-prune90.model", "backend": "dense"},
 //	    {"name": "tiny-sparse", "model": "models/tiny-prune90.model", "backend": "sparse"},
-//	    {"name": "tiny-int8",   "model": "models/tiny-prune90.model", "backend": "int8"}
+//	    {"name": "tiny-bsr",    "model": "models/tiny-block90.model", "backend": "bsr"}
 //	  ]
 //	}
 //

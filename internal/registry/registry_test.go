@@ -237,7 +237,7 @@ func TestManifestLoadAndBuild(t *testing.T) {
   "variants": [
     {"name": "a-dense",  "model": "a.model", "backend": "dense"},
     {"name": "b-sparse", "model": "b.model", "backend": "sparse"},
-    {"name": "b-int8",   "model": "b.model", "backend": "int8"}
+    {"name": "b-bsr",    "model": "b.model", "backend": "bsr"}
   ]
 }`
 	path := filepath.Join(dir, "manifest.json")
@@ -264,9 +264,9 @@ func TestManifestLoadAndBuild(t *testing.T) {
 	if !ok || v.Backend() != dnn.BackendDense {
 		t.Errorf("a-dense variant: %v, %v", v, ok)
 	}
-	q, ok := r.Resolve("b-int8")
-	if !ok || q.Backend() != dnn.BackendInt8 {
-		t.Errorf("b-int8 variant: %v, %v", q, ok)
+	q, ok := r.Resolve("b-bsr")
+	if !ok || q.Backend() != dnn.BackendBSR {
+		t.Errorf("b-bsr variant: %v, %v", q, ok)
 	}
 }
 
@@ -288,6 +288,7 @@ func TestManifestValidation(t *testing.T) {
 		{"duplicate", `{"variants": [{"name": "a", "model": "a.model"}, {"name": "a", "model": "b.model"}]}`, "duplicate"},
 		{"missing model", `{"variants": [{"name": "a"}]}`, "no model path"},
 		{"bad backend", `{"variants": [{"name": "a", "model": "a.model", "backend": "gpu"}]}`, "unknown backend"},
+		{"retired int8 backend", `{"variants": [{"name": "a", "model": "a.model", "backend": "int8"}]}`, "unknown backend"},
 		{"unknown default", `{"default": "x", "variants": [{"name": "a", "model": "a.model"}]}`, "not among the variants"},
 		{"bad json", `{`, "parsing"},
 	}

@@ -64,11 +64,10 @@ type Config struct {
 	// server's lifetime (pass a Clone to keep mutating the original).
 	Net *dnn.Network
 	// Backend selects the scoring kernels compiled for Net (ignored
-	// when Registry is set): auto (default; CSR sparse for pruned
-	// layers under the density threshold), dense, sparse, bsr, or int8
-	// (quantized integer kernels — deterministic, error-budget-bounded
-	// per docs/QUANT.md). Transcripts are bit-identical across the
-	// float backends; only the forward-pass cost changes.
+	// when Registry is set): auto (default; BSR or CSR for pruned
+	// layers under the density threshold), dense, sparse, or bsr.
+	// Transcripts are bit-identical across the backends; only the
+	// forward-pass cost changes.
 	Backend dnn.Backend
 	// Decoder is the shared read-only search graph wrapper; any
 	// number of sessions decode against it concurrently. All variants

@@ -1,9 +1,9 @@
 // End-to-end pin of the routing acceptance criterion: an asrrouter
 // topology — two serve.Server backends, each loading the same
-// two-variant registry (a dense and a sparse compilation of the same
-// weights), fronted by one Router — must produce transcripts
-// byte-identical to dialing a backend directly, for every session and
-// both variants. Importing repro/internal/router (and registry via
+// three-variant registry (dense and sparse compilations of the same
+// weights, and a block-pruned copy on bsr), fronted by one Router —
+// must produce transcripts byte-identical to dialing a backend
+// directly, for every session and every variant. Importing repro/internal/router (and registry via
 // serve) here also puts their metrics into this binary's Default
 // registry, keeping TestObservabilityCatalogMatchesRegistry honest
 // about them.
@@ -42,13 +42,12 @@ func TestRoutedDecodeBitIdenticalToDirect(t *testing.T) {
 	utts := world.SynthesizeSetNoisy(8, scale.WordsPerUtt, 2002, scale.TestNoiseScale)
 
 	// Each backend gets its own registry instance (separate processes
-	// in production) with the same four variants: the same weights
-	// compiled dense, sparse, and int8, plus a block-pruned copy on the
-	// bsr kernel. The float variants agree bit for bit with each other;
-	// int8 differs from float but is itself deterministic; the bsr
-	// variant scores different (block-pruned) weights but must likewise
-	// be byte-stable — so for every variant, routed must equal direct
-	// bit for bit across backend processes.
+	// in production) with the same three variants: the same weights
+	// compiled dense and sparse, plus a block-pruned copy on the bsr
+	// kernel. Dense and sparse agree bit for bit with each other; the
+	// bsr variant scores different (block-pruned) weights but must
+	// likewise be byte-stable — so for every variant, routed must equal
+	// direct bit for bit across backend processes.
 	bnet := net.Clone()
 	bq, err := pruning.CalibrateBlockQuality(bnet, 8, 0.7)
 	if err != nil {
@@ -61,9 +60,6 @@ func TestRoutedDecodeBitIdenticalToDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := r.Register("w-sparse", "", net.Clone(), dnn.BackendSparse); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Register("w-int8", "", net.Clone(), dnn.BackendInt8); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Register("w-bsr", "", bnet.Clone(), dnn.BackendBSR); err != nil {
@@ -140,7 +136,7 @@ func TestRoutedDecodeBitIdenticalToDirect(t *testing.T) {
 		return rep, err
 	}
 
-	models := []string{"w-dense", "w-sparse", "w-int8", "w-bsr"}
+	models := []string{"w-dense", "w-sparse", "w-bsr"}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*len(utts))
 	for i, u := range utts {
