@@ -14,6 +14,11 @@ fi
 
 go vet ./...
 
+# The dense panel kernel has an AVX body in amd64 assembly (asmdecl
+# checks it in the vet above) and a portable Go body everywhere else:
+# vet the packages for arm64 too, so the portable build stays checked.
+GOARCH=arm64 go vet ./internal/mat ./internal/dnn
+
 # Godoc audit: every package (and command) must carry a package-level
 # doc comment — the convention godoc renders and docs/OBSERVABILITY.md
 # links into.

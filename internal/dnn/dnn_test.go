@@ -125,15 +125,20 @@ func TestBackpropGradientCheck(t *testing.T) {
 		if fc.dW == nil {
 			t.Fatalf("layer %s has no gradients", fc.LayerName)
 		}
-		// spot-check a few weights per layer
+		// spot-check a few weights per layer; every write to the
+		// weights is followed by InvalidatePlan, since the cached plan
+		// scores a snapshot taken at compile time
 		idxs := []int{0, len(fc.W.Data) / 2, len(fc.W.Data) - 1}
 		for _, i := range idxs {
 			orig := fc.W.Data[i]
 			fc.W.Data[i] = orig + eps
+			net.InvalidatePlan()
 			up := loss()
 			fc.W.Data[i] = orig - eps
+			net.InvalidatePlan()
 			down := loss()
 			fc.W.Data[i] = orig
+			net.InvalidatePlan()
 			numeric := (up - down) / (2 * eps)
 			analytic := fc.dW[i]
 			if math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)) {

@@ -2,17 +2,34 @@ package dnn_test
 
 import (
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"repro/internal/dnn"
 	"repro/internal/mat"
 )
 
+// panelAVX is mat's unexported choice of dense panel body, set at init
+// from CPUID. FuzzKernels clears it around the portable column so that
+// column scores the dense plan through the portable Go body; off AVX
+// hosts it is already false and the column repeats the dense one.
+//
+//go:linkname panelAVX repro/internal/mat.useAVX
+var panelAVX bool
+
+// portable runs f with the dense kernel on its portable panel body.
+func portable(f func()) {
+	saved := panelAVX
+	defer func() { panelAVX = saved }()
+	panelAVX = false
+	f()
+}
+
 // FuzzKernels is the differential test of the float kernels: a random
 // two-FC stack (every shape from 1 to 40 rows and 1 to 80 inputs, so
-// every Rows%4 remainder of the row-blocked dense matvec and every
-// ragged BSR edge tile is reachable), pruned by a random unstructured,
-// 4×4-block or 8×8-block mask, must score bit-identically under the
-// dense, sparse and bsr plans.
+// every ragged last panel of the dense matvec and every ragged BSR
+// edge tile is reachable), pruned by a random unstructured, 4×4-block
+// or 8×8-block mask, must score bit-identically under the dense (AVX
+// and portable panel bodies), sparse and bsr plans.
 func FuzzKernels(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		f.Add(int64(i), uint8(7*i+3), uint8(i), uint8(9*i+1), uint8(i), uint8(32*i))
@@ -39,15 +56,19 @@ func FuzzKernels(f *testing.F) {
 			rng.FillNorm(x, 0, 2)
 			wantLogits := append([]float64(nil), execs[0].Logits(x)...)
 			execs[0].LogPosteriors(want, x)
-			for i := 1; i < len(execs); i++ {
-				if !bitsEqual(wantLogits, execs[i].Logits(x)) {
-					t.Fatalf("frame %d: %s logits differ from dense", frame, backends[i])
+			compare := func(name string, e *dnn.Exec) {
+				if !bitsEqual(wantLogits, e.Logits(x)) {
+					t.Fatalf("frame %d: %s logits differ from dense", frame, name)
 				}
-				execs[i].LogPosteriors(got, x)
+				e.LogPosteriors(got, x)
 				if !bitsEqual(want, got) {
-					t.Fatalf("frame %d: %s log-posteriors differ from dense", frame, backends[i])
+					t.Fatalf("frame %d: %s log-posteriors differ from dense", frame, name)
 				}
 			}
+			for i := 1; i < len(execs); i++ {
+				compare(string(backends[i]), execs[i])
+			}
+			portable(func() { compare("dense on the portable panel body", execs[0]) })
 		}
 	})
 }

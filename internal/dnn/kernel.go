@@ -1,10 +1,13 @@
 package dnn
 
-import "repro/internal/sparse"
+import (
+	"repro/internal/mat"
+	"repro/internal/sparse"
+)
 
 // Kernel is one compiled per-layer compute implementation behind a
 // Plan. The kernel owns the layer's immutable weights in whatever
-// layout it wants (dense rows, CSR, BSR tiles) and keeps no per-call
+// layout it wants (dense panels, CSR, BSR tiles) and keeps no per-call
 // state, so one kernel instance is shared read-only by every Exec over
 // the plan, exactly like the Plan itself.
 //
@@ -31,17 +34,28 @@ func (k layerKernel) MatVec(dst, in []float64) {
 	k.l.Forward(dst, in)
 }
 
-// denseKernel is the float dense matvec: the FC layer's own Forward
-// (W·x + b) over the row-major float64 weight matrix. mat.MatVec is
-// row-blocked — four output rows per pass over the input, four
-// independent add chains — while each row still sums its columns in
-// ascending order, which is the order the sparse and bsr kernels
-// reproduce.
-type denseKernel struct{ fc *FC }
+// denseKernel is the float dense matvec over the layer's weights
+// packed into 16-row panels (mat.Panels), plus a copy of the bias. The
+// panels are a snapshot, like the CSR and BSR layouts: the kernel never
+// reads the FC layer again. Each output row still sums its columns in
+// ascending order with separately rounded multiplies and adds, whether
+// the panel body is AVX or portable Go, which is the order the sparse
+// and bsr kernels reproduce.
+type denseKernel struct {
+	w *mat.Panels
+	b []float64
+}
+
+func newDenseKernel(fc *FC) denseKernel {
+	return denseKernel{w: mat.NewPanels(fc.W), b: append([]float64(nil), fc.B...)}
+}
 
 func (k denseKernel) Name() string { return "dense" }
 func (k denseKernel) MatVec(dst, in []float64) {
-	k.fc.Forward(dst, in)
+	k.w.MatVec(dst, in)
+	for i, b := range k.b {
+		dst[i] += b
+	}
 }
 
 // csrKernel is the float CSR sparse kernel. Its ascending-column

@@ -60,13 +60,15 @@ type PlanConfig struct {
 	Backend Backend
 }
 
-// planLayer is one compiled execution step: the original layer plus,
-// for FC layers, the chosen kernel (holding the weights in its own
-// layout), the per-kernel timer resolved at compile time, and (when
-// compiled) the CSR view.
+// planLayer is one compiled execution step: the layer's name and
+// output width, the chosen kernel (which, for FC layers, holds its own
+// snapshot of the weights in its own layout), the per-kernel timer
+// resolved at compile time, and (when compiled) the CSR and BSR views.
+// It keeps no reference to the source FC layer.
 type planLayer struct {
-	layer   Layer
-	fc      *FC           // nil for pooling/renorm layers
+	name    string
+	outDim  int
+	fc      bool          // an FC layer; false for pooling/renorm layers
 	csr     *sparse.Layer // compiled CSR; non-nil for every masked FC
 	bsr     *sparse.BSR   // compiled BSR; non-nil for block-pruned FCs and bsr kernels
 	kern    Kernel        // the compute implementation; never nil
@@ -83,11 +85,13 @@ type planLayer struct {
 //
 // Ownership contract (DESIGN.md §6c): a Plan is shared read-only — any
 // number of goroutines may execute it concurrently, each through its
-// own Exec, which owns all mutable scratch (the activations). The Plan
-// does not observe later mutations of the source Network; retraining,
-// pruning or quantizing the network invalidates previously compiled
-// plans (Network.Plan recompiles automatically, hand-compiled plans
-// must be rebuilt by the caller).
+// own Exec, which owns all mutable scratch (the activations). Every FC
+// kernel owns a copy of its layer's weights and bias, taken at
+// Compile, so the Plan never observes later mutations of the source
+// Network and keeps none of its FC storage alive: retraining, pruning
+// or quantizing the network leaves previously compiled plans scoring
+// the old weights (Network.Plan recompiles after InvalidatePlan,
+// hand-compiled plans must be rebuilt by the caller).
 type Plan struct {
 	layers []planLayer
 	inDim  int
@@ -95,17 +99,18 @@ type Plan struct {
 }
 
 // Compile builds a plan from the network's current weights under cfg.
-// The network is only read; the returned plan holds no reference to
-// the network's scratch state.
+// The network is only read; the returned plan copies every FC layer's
+// weights and bias into its kernels and holds no reference to them or
+// to the network's scratch state.
 func Compile(net *Network, cfg PlanConfig) *Plan {
 	if cfg.Backend == "" {
 		cfg.Backend = BackendAuto
 	}
 	p := &Plan{inDim: net.InDim(), outDim: net.OutDim()}
 	for _, l := range net.Layers {
-		pl := planLayer{layer: l, density: 1}
+		pl := planLayer{name: l.Name(), outDim: l.OutDim(), density: 1}
 		if fc, ok := l.(*FC); ok {
-			pl.fc = fc
+			pl.fc = true
 			if n := fc.WeightCount(); n > 0 {
 				pl.density = float64(fc.W.NNZ()) / float64(n)
 			}
@@ -142,7 +147,7 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 			case wantCSR:
 				pl.kern = csrKernel{pl.csr}
 			default:
-				pl.kern = denseKernel{fc}
+				pl.kern = newDenseKernel(fc)
 			}
 			pl.timer = obsKernelTime.With(pl.kern.Name())
 			obsPlanLayerDensity.Observe(pl.density)
@@ -191,13 +196,13 @@ func (p *Plan) Describe() string {
 	s := ""
 	for i := range p.layers {
 		pl := &p.layers[i]
-		if pl.fc == nil {
+		if !pl.fc {
 			continue
 		}
 		if s != "" {
 			s += " "
 		}
-		s += fmt.Sprintf("%s:%s(%.2f)", pl.fc.LayerName, pl.kern.Name(), pl.density)
+		s += fmt.Sprintf("%s:%s(%.2f)", pl.name, pl.kern.Name(), pl.density)
 	}
 	return s
 }
@@ -206,9 +211,9 @@ func (p *Plan) Describe() string {
 // sized for the plan.
 func (p *Plan) newActivations() [][]float64 {
 	acts := make([][]float64, len(p.layers)+1)
-	acts[0] = make([]float64, p.layers[0].layer.InDim())
+	acts[0] = make([]float64, p.inDim)
 	for i, pl := range p.layers {
-		acts[i+1] = make([]float64, pl.layer.OutDim())
+		acts[i+1] = make([]float64, pl.outDim)
 	}
 	return acts
 }

@@ -58,9 +58,9 @@ func benchBlockNet(target float64) *dnn.Network {
 
 // BenchmarkForward measures one single-frame forward pass per
 // backend and pruning level. At p90 the sparse CSR kernel touches ~10%
-// of the weights the dense rows walk, but pay an index load and a
-// gathered input read per weight, against dense's four add chains in
-// flight over contiguous rows — hence ~3x, not 10x; at p0 sparse
+// of the weights the dense panels stream, but pay an index load and a
+// gathered input read per weight, against dense's one contiguous pass
+// over its 16-row panels — hence ~3x, not 10x; at p0 sparse
 // degenerates to dense work plus indirection, which is why auto only
 // flips below the density threshold. The bsr series runs on the
 // block-pruned stack at the same global sparsity — the apples-to-apples

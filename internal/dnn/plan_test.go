@@ -263,6 +263,26 @@ func TestNetworkWrapperRecompiles(t *testing.T) {
 	}
 }
 
+// TestPlanOwnsWeights pins the snapshot contract: every FC kernel
+// scores its own copy of the weights and bias taken at Compile, so a
+// compiled plan of any backend is deaf to later writes to the source
+// network.
+func TestPlanOwnsWeights(t *testing.T) {
+	for _, backend := range []dnn.Backend{dnn.BackendDense, dnn.BackendSparse, dnn.BackendBSR} {
+		net := prunedNet(t, 0.5)
+		in := testFrames(testTopology(), 1)[0]
+		ex := dnn.Compile(net, dnn.PlanConfig{Backend: backend}).NewExec()
+		before := append([]float64(nil), ex.Logits(in)...)
+		for _, fc := range net.FCs() {
+			mat.Scale(2, fc.W.Data)
+			mat.Fill(fc.B, 1)
+		}
+		if !bitsEqual(before, ex.Logits(in)) {
+			t.Errorf("%s plan changed its logits after a write to the source network", backend)
+		}
+	}
+}
+
 // TestParseBackend pins the -backend vocabulary: the four kernel
 // policies parse, "" means auto, and anything else — including the
 // names of the two retired int8 kernels, dense and sparse — is refused

@@ -1,0 +1,19 @@
+package mat
+
+// useAVX selects the AVX panel body. It is set once at init from CPUID
+// and XGETBV: the CPU must have AVX and the OS must save the YMM
+// registers across context switches.
+var useAVX = cpuHasAVX()
+
+// panelAVX is the panel body in AVX (panels_amd64.s): per column, one
+// VBROADCASTSD of x[j], then a VMULPD and a VADDPD into each of four
+// YMM accumulators of four rows. No FMA: each lane rounds the multiply
+// and the add separately, exactly like panelGo. len(x) must be at
+// least 1 and len(w) must be panelRows*len(x).
+//
+//go:noescape
+func panelAVX(w, x []float64, out *[panelRows]float64)
+
+// cpuHasAVX reports CPUID.1:ECX.AVX and OSXSAVE, and XCR0 saving both
+// the SSE and the AVX state.
+func cpuHasAVX() bool

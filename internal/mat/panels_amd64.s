@@ -1,0 +1,56 @@
+#include "textflag.h"
+
+// func panelAVX(w, x []float64, out *[16]float64)
+TEXT ·panelAVX(SB), NOSPLIT, $0-56
+	MOVQ w_base+0(FP), SI
+	MOVQ x_base+24(FP), DI
+	MOVQ x_len+32(FP), CX
+	MOVQ out+48(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+loop:
+	VBROADCASTSD (DI), Y4
+	VMULPD       (SI), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(SI), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(SI), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(SI), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, DI
+	ADDQ         $128, SI
+	DECQ         CX
+	JNZ          loop
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX() bool
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	// ECX bit 27 is OSXSAVE, bit 28 is AVX.
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	// XCR0 bit 1 is the SSE state, bit 2 the AVX (upper YMM) state.
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET

@@ -62,10 +62,10 @@ func (v *Variant) Plan() *dnn.Plan {
 // Swap compiles net under the variant's backend and atomically
 // replaces the current plan, returning the new one. The network is
 // only read during compilation; the caller must not mutate it while
-// Swap runs (afterwards is fine — the plan snapshots the weights'
-// referenced storage, matching dnn.Compile's contract that the source
-// network must stay unmutated for the plan's lifetime; pass a dedicated
-// freshly loaded or cloned network).
+// Swap runs. Afterwards is fine: every kernel of the plan owns a copy
+// of its layer's weights and bias (dnn.Compile's snapshot contract),
+// so later writes to net never reach the plan, and the plan keeps
+// none of net's weight storage alive.
 func (v *Variant) Swap(net *dnn.Network) (*dnn.Plan, error) {
 	if net == nil {
 		return nil, fmt.Errorf("registry: Swap(%s) with nil network", v.name)

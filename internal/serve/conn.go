@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/control"
@@ -53,6 +54,36 @@ type session struct {
 	deadline time.Time    // session deadline; zero before admission
 }
 
+// connBufs recycles the read and write buffers of finished
+// connections, so a session leaves no buffer garbage behind and the
+// heap peak does not follow the session rate.
+var connBufs = sync.Pool{New: func() any {
+	return &connBuf{br: bufio.NewReader(nil), bw: bufio.NewWriter(nil)}
+}}
+
+// connBuf is one connection's buffered reader and writer.
+type connBuf struct {
+	br *bufio.Reader
+	bw *bufio.Writer
+}
+
+// takeConnBuf returns recycled buffers reset onto conn. Reset drops
+// whatever a previous connection left in them, so its unread input
+// and unflushed output never reach this one.
+func takeConnBuf(conn net.Conn) *connBuf {
+	b := connBufs.Get().(*connBuf)
+	b.br.Reset(conn)
+	b.bw.Reset(conn)
+	return b
+}
+
+// put detaches the buffers from their connection and recycles them.
+func (b *connBuf) put() {
+	b.br.Reset(nil)
+	b.bw.Reset(nil)
+	connBufs.Put(b)
+}
+
 // handle runs one connection: admission, then the start/frame/finish
 // message loop. Every exit path sends a terminal reply (reject,
 // result, or error) unless the connection itself is gone.
@@ -60,13 +91,15 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.track(conn, false)
 	defer conn.Close()
 
+	buf := takeConnBuf(conn)
+	defer buf.put()
 	c := &session{
 		srv:  s,
 		conn: conn,
-		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
+		br:   buf.br,
+		bw:   buf.bw,
+		enc:  json.NewEncoder(buf.bw),
 	}
-	c.enc = json.NewEncoder(c.bw)
 
 	// The start message is read under the idle timeout so a dialed-
 	// but-silent connection cannot hold a handler goroutine forever.

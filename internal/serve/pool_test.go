@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"testing"
 )
 
@@ -75,5 +77,45 @@ func TestSessionPoolReusedAcrossConnections(t *testing.T) {
 	if p.exec == exec || p.exec.Plan() != v.Plan() {
 		t.Errorf("Exec after swap: same %v, on current plan %v; want a fresh Exec of the new plan",
 			p.exec == exec, p.exec.Plan() == v.Plan())
+	}
+}
+
+// TestConnBuffersDropStaleInput pins the recycling of connection
+// buffers: a connection that closes with input still buffered — here
+// a second start line sent behind a start the server refuses — must
+// never leak those bytes into the next connection that takes the
+// buffers. Each round's fresh connection has to be answered for its
+// own start, never for the stale one.
+func TestConnBuffersDropStaleInput(t *testing.T) {
+	f := newFixture(t)
+	_, addr, stop := f.start(t, nil)
+	defer stop()
+
+	exchange := func(lines string) Reply {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(lines)); err != nil {
+			t.Fatal(err)
+		}
+		var rep Reply
+		if err := json.NewDecoder(conn).Decode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for round := 0; round < 10; round++ {
+		rep := exchange(`{"op":"start","model":"missing"}` + "\n" + `{"op":"start","id":"stale"}` + "\n")
+		if rep.Event != EventReject {
+			t.Fatalf("round %d: start on a missing model got %q, want %q", round, rep.Event, EventReject)
+		}
+		rep = exchange(`{"op":"start","id":"fresh"}` + "\n")
+		if rep.Event != EventReady || rep.Session != "fresh" {
+			t.Fatalf("round %d: fresh start answered with %q for session %q, want %q for %q",
+				round, rep.Event, rep.Session, EventReady, "fresh")
+		}
 	}
 }
