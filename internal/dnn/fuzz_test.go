@@ -8,19 +8,21 @@ import (
 	"repro/internal/mat"
 )
 
-// panelAVX is mat's unexported choice of dense panel body, set at init
-// from CPUID. FuzzKernels clears it around the portable column so that
-// column scores the dense plan through the portable Go body; off AVX
-// hosts it is already false and the column repeats the dense one.
+// useAVX is mat's unexported choice of kernel body, set at init from
+// CPUID; the dense panels read it directly and the BSR kernel through
+// mat.HasAVX. FuzzKernels clears it around the portable columns so
+// they score the dense and bsr plans through the portable Go bodies;
+// off AVX hosts it is already false and the columns repeat the others.
 //
-//go:linkname panelAVX repro/internal/mat.useAVX
-var panelAVX bool
+//go:linkname useAVX repro/internal/mat.useAVX
+var useAVX bool
 
-// portable runs f with the dense kernel on its portable panel body.
+// portable runs f with the dense and bsr kernels on their portable
+// bodies.
 func portable(f func()) {
-	saved := panelAVX
-	defer func() { panelAVX = saved }()
-	panelAVX = false
+	saved := useAVX
+	defer func() { useAVX = saved }()
+	useAVX = false
 	f()
 }
 
@@ -28,8 +30,9 @@ func portable(f func()) {
 // two-FC stack (every shape from 1 to 40 rows and 1 to 80 inputs, so
 // every ragged last panel of the dense matvec and every ragged BSR
 // edge tile is reachable), pruned by a random unstructured, 4×4-block
-// or 8×8-block mask, must score bit-identically under the dense (AVX
-// and portable panel bodies), sparse and bsr plans.
+// or 8×8-block mask, must score bit-identically under the dense and
+// bsr plans (each on its AVX and its portable body) and the sparse
+// plan.
 func FuzzKernels(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		f.Add(int64(i), uint8(7*i+3), uint8(i), uint8(9*i+1), uint8(i), uint8(32*i))
@@ -68,7 +71,10 @@ func FuzzKernels(f *testing.F) {
 			for i := 1; i < len(execs); i++ {
 				compare(string(backends[i]), execs[i])
 			}
-			portable(func() { compare("dense on the portable panel body", execs[0]) })
+			portable(func() {
+				compare("dense on the portable panel body", execs[0])
+				compare("bsr on the portable body", execs[2])
+			})
 		}
 	})
 }

@@ -69,12 +69,14 @@ func (k csrKernel) MatVec(dst, in []float64) {
 	k.csr.MatVec(dst, in)
 }
 
-// bsrKernel is the float block-sparse kernel: dense b×b micro-tiles
-// over the BSR view built from a block-pruned layer. Like the CSR
-// kernel it accumulates in the dense column order (ascending tiles,
-// ascending columns within a tile), so it is bit-identical to dense —
-// but it pays one index per tile instead of one per nonzero and its
-// inner loops are unrolled straight-line over contiguous inputs, which
+// bsrKernel is the float block-sparse kernel: dense b×b micro-tiles,
+// stored column-major, over the BSR view built from a block-pruned
+// layer. For b = 8 on AVX machines each tile column is one broadcast
+// input feeding two YMM registers; elsewhere straight-line portable Go
+// runs over the same layout. Like the CSR kernel it accumulates every
+// row in the dense column order (ascending tiles, ascending columns
+// within a tile, no FMA, bias last), so it is bit-identical to dense
+// — but it pays one index per tile instead of one per nonzero, which
 // is where it beats CSR at equal sparsity.
 type bsrKernel struct{ bsr *sparse.BSR }
 

@@ -66,8 +66,11 @@ func benchBlockNet(target float64) *dnn.Network {
 // block-pruned stack at the same global sparsity — the apples-to-apples
 // layout comparison of docs/BLOCK.md — and its acceptance bar is
 // >= 1.15x over CSR at p90 (one index per 64-weight tile instead of
-// one per weight, dense unrolled micro-tiles). At p0 bsr stores every
-// tile and skips nothing, so it must not beat dense there.
+// one per weight, 8×8 tiles on the vector unit). At p0 bsr stores
+// every tile and skips nothing, so it must not beat dense there: both
+// run AVX, but the dense panels score two panels per pass, two weight
+// streams sharing each input load, while bsr walks one block row's
+// single tile stream and pays an index per tile.
 func BenchmarkForward(b *testing.B) {
 	for _, level := range []struct {
 		name   string

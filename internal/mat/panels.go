@@ -40,7 +40,9 @@ func NewPanels(m *Matrix) *Panels {
 // takes the same s += w*x step as Dot, a separately rounded multiply
 // and add, over its row's columns in ascending order, so every output
 // is bit-identical to Dot(row, x) and to Matrix.MatVec, whether the
-// panel body is the AVX one or the portable one.
+// panel body is the AVX one or the portable one. The AVX body scores
+// two panels per pass, one load of x[j] feeding both weight streams;
+// that changes which rows share a pass, not any row's order.
 func (p *Panels) MatVec(dst, x []float64) {
 	if len(x) != p.cols || len(dst) != p.rows {
 		panic(fmt.Sprintf("mat: Panels.MatVec dimension mismatch: m is %dx%d, x %d, dst %d",
@@ -52,24 +54,38 @@ func (p *Panels) MatVec(dst, x []float64) {
 		clear(dst)
 		return
 	}
-	size := panelRows * p.cols
-	var tail [panelRows]float64
-	for r := 0; r < p.rows; r += panelRows {
-		w := p.data[r*p.cols:][:size]
-		out := &tail
-		if r+panelRows <= p.rows {
-			out = (*[panelRows]float64)(dst[r:])
+	avx := useAVX
+	var tail [2 * panelRows]float64
+	for r := 0; r < p.rows; {
+		n := panelRows
+		if avx && r+panelRows < p.rows {
+			n = 2 * panelRows
 		}
-		if useAVX {
-			panelAVX(w, x, out)
-		} else {
-			panelGo(w, x, out)
+		w := p.data[r*p.cols:][:n*p.cols]
+		out := tail[:n]
+		if r+n <= p.rows {
+			out = dst[r : r+n]
 		}
-		if out == &tail {
-			copy(dst[r:], tail[:])
+		switch {
+		case n == 2*panelRows:
+			panel2AVX(w, x, (*[2 * panelRows]float64)(out))
+		case avx:
+			panelAVX(w, x, (*[panelRows]float64)(out))
+		default:
+			panelGo(w, x, (*[panelRows]float64)(out))
 		}
+		if r+n > p.rows {
+			copy(dst[r:], out)
+		}
+		r += n
 	}
 }
+
+// HasAVX reports whether the AVX kernel bodies run on this machine:
+// the CPU has AVX and the OS saves the YMM registers. Other packages'
+// kernels read it on every call rather than probing the CPU again, so
+// one switch selects the body of every float kernel.
+func HasAVX() bool { return useAVX }
 
 // panelGo is the portable panel body: the panel's rows as two groups
 // of eight, each group one pass over x with eight add chains in

@@ -1,8 +1,9 @@
 package mat
 
-// useAVX selects the AVX panel body. It is set once at init from CPUID
-// and XGETBV: the CPU must have AVX and the OS must save the YMM
-// registers across context switches.
+// useAVX selects the AVX panel bodies, and through HasAVX the AVX body
+// of every other float kernel. It is set once at init from CPUID and
+// XGETBV: the CPU must have AVX and the OS must save the YMM registers
+// across context switches.
 var useAVX = cpuHasAVX()
 
 // panelAVX is the panel body in AVX (panels_amd64.s): per column, one
@@ -13,6 +14,15 @@ var useAVX = cpuHasAVX()
 //
 //go:noescape
 func panelAVX(w, x []float64, out *[panelRows]float64)
+
+// panel2AVX is panelAVX over two consecutive panels in one pass: per
+// column, one VBROADCASTSD of x[j] feeds both weight streams and eight
+// YMM accumulators, so every weight read shares its x load with a
+// second panel. Each lane takes the same steps as in panelAVX. len(x)
+// must be at least 1 and len(w) must be 2*panelRows*len(x).
+//
+//go:noescape
+func panel2AVX(w, x []float64, out *[2 * panelRows]float64)
 
 // cpuHasAVX reports CPUID.1:ECX.AVX and OSXSAVE, and XCR0 saving both
 // the SSE and the AVX state.

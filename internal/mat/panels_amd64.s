@@ -33,6 +33,61 @@ loop:
 	VZEROUPPER
 	RET
 
+// func panel2AVX(w, x []float64, out *[32]float64)
+TEXT ·panel2AVX(SB), NOSPLIT, $0-56
+	MOVQ w_base+0(FP), SI
+	MOVQ x_base+24(FP), DI
+	MOVQ x_len+32(FP), CX
+	MOVQ out+48(FP), DX
+
+	// R8 walks the second panel, 16*len(x) weights past the first.
+	MOVQ CX, R8
+	SHLQ $7, R8
+	ADDQ SI, R8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+loop2:
+	VBROADCASTSD (DI), Y8
+	VMULPD       (SI), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(SI), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       64(SI), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       96(SI), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	VMULPD       (R8), Y8, Y13
+	VADDPD       Y13, Y4, Y4
+	VMULPD       32(R8), Y8, Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       64(R8), Y8, Y15
+	VADDPD       Y15, Y6, Y6
+	VMULPD       96(R8), Y8, Y9
+	VADDPD       Y9, Y7, Y7
+	ADDQ         $8, DI
+	ADDQ         $128, SI
+	ADDQ         $128, R8
+	DECQ         CX
+	JNZ          loop2
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX() bool
 TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	MOVL $1, AX

@@ -2,9 +2,14 @@
 
 package mat
 
-// useAVX is false off amd64: every panel runs the portable body.
+// useAVX is false off amd64: every panel, and every BSR tile, runs the
+// portable body.
 var useAVX = false
 
 func panelAVX(w, x []float64, out *[panelRows]float64) {
+	panic("mat: no AVX panel body on this architecture")
+}
+
+func panel2AVX(w, x []float64, out *[2 * panelRows]float64) {
 	panic("mat: no AVX panel body on this architecture")
 }

@@ -21,7 +21,8 @@ func panelBodies(f func(name string)) {
 
 // TestPanelsMatchMatVec pins Panels.MatVec bit for bit against
 // Matrix.MatVec through both panel bodies, on every row count from 1
-// to 40 (so full panels, ragged last panels and a panel-and-a-bit)
+// to 80 (so full panels, ragged last panels, and odd and even panel
+// counts for the AVX body's two-panel pass, its pair ragged or whole)
 // and every column count from 1 to 80, with the values of
 // TestMatVecMatchesSingleChain: signed zeros, subnormals, and partial
 // sums that overflow to ±Inf and then NaN.
@@ -40,7 +41,7 @@ func TestPanelsMatchMatVec(t *testing.T) {
 			}
 		}
 	}
-	for rows := 1; rows <= 40; rows++ {
+	for rows := 1; rows <= 80; rows++ {
 		for cols := 1; cols <= 80; cols++ {
 			m := NewMatrix(rows, cols)
 			x := make([]float64, cols)

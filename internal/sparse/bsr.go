@@ -6,15 +6,17 @@ import (
 	"repro/internal/mat"
 )
 
-// MaxBlock bounds the supported BSR block edge. The accumulator tiles
-// live on the stack (a fixed array in the kernels), so the edge must be
-// known small; the pruning strategy uses 4 and 8, the hardware-aligned
-// shapes of Kang's accelerator-aware pruning.
+// MaxBlock bounds the supported BSR block edge. The generic body keeps
+// a block row's accumulators in a fixed array on the stack, so the edge
+// must be known small. The pruning strategy uses 4 and 8, the
+// hardware-aligned shapes of Kang's accelerator-aware pruning: a
+// column of an 8×8 tile is two YMM registers, and 8 is the edge the
+// AVX body runs.
 const MaxBlock = 16
 
 // BSR is a block-sparse-row view of an out×in weight matrix: the dense
 // grid is cut into Block×Block tiles and only tiles containing at least
-// one nonzero are stored, each as a dense row-major micro-tile. One
+// one nonzero are stored, each as a dense column-major micro-tile. One
 // column index is stored per tile instead of per nonzero — the index
 // overhead the CSR gather pays per weight is amortized over Block²
 // weights, and the tile's inputs are Block *consecutive* words, so the
@@ -22,8 +24,12 @@ const MaxBlock = 16
 //
 // Block row br's tiles are Blocks[RowPtr[br]*Block²:RowPtr[br+1]*Block²]
 // with block-column indices BlockCols[RowPtr[br]:RowPtr[br+1]] in
-// ascending order. Edge tiles (when Rows or ColsDim is not a multiple
-// of Block) are zero-padded to full tiles.
+// ascending order. Within a tile, row rr of column cc is at
+// tile[cc*Block+rr], so the Block weights one input feeds sit next to
+// each other, as in mat.Panels. Edge tiles (when Rows or ColsDim is
+// not a multiple of Block) are zero-padded to full tiles. The fields
+// are exported for reading; MatVec's assembly body trusts them to be
+// as FromDenseBSR built them.
 type BSR struct {
 	Rows, ColsDim int
 	Block         int
@@ -90,7 +96,7 @@ func FromDenseBSR(w *mat.Matrix, bias []float64, block int) *BSR {
 					if c >= cols {
 						break
 					}
-					tile[rr*block+cc] = w.At(r, c)
+					tile[cc*block+rr] = w.At(r, c)
 				}
 			}
 			k++
@@ -141,117 +147,181 @@ func (l *BSR) StorageBits(weightBits, indexBits int) int64 {
 	return int64(l.BlockCount())*perTile + int64(l.Rows)*int64(weightBits)
 }
 
-// MatVec computes dst = L·x (+ bias when present). Each output row
-// accumulates its tiles in ascending block-column order and, within a
-// tile, in ascending column order — exactly the order the dense sum
-// visits those columns — so the result is bit-identical to the dense
-// matvec (and to the CSR kernel) on matrices whose skipped entries are
-// exact zeros.
+// MatVec computes dst = L·x (+ bias when present). dst must have
+// length Rows and x length ColsDim. dst may not alias x.
+//
+// Every row has its own accumulator. It starts at +0 and takes the
+// s += w*x step of the dense sum, a separately rounded multiply and
+// add, over its tiles in ascending block-column order and, within a
+// tile, over the tile's real columns in ascending order; the bias is
+// added after the tile sums. That is exactly the order the dense sum
+// visits those columns, so the result is bit-identical to the dense
+// matvec (and to the CSR kernel) on matrices whose skipped entries
+// are exact zeros, whichever body runs. For Block 8 on an AVX machine
+// (mat.HasAVX) one assembly call scores every full block row; a ragged
+// last block row, other block edges and other machines run the
+// portable Go bodies over the same layout.
 func (l *BSR) MatVec(dst, x []float64) {
 	if len(x) != l.ColsDim || len(dst) != l.Rows {
 		panic(fmt.Sprintf("sparse: BSR MatVec dimension mismatch: layer %dx%d, x %d, dst %d",
 			l.Rows, l.ColsDim, len(x), len(dst)))
 	}
-	b := l.Block
-	for br := 0; br < l.BlockRows(); br++ {
-		r0 := br * b
-		rn := b
-		if r0+rn > l.Rows {
-			rn = l.Rows - r0
-		}
-		var acc [MaxBlock]float64
-		l.accumBlockRow(acc[:b], x, l.RowPtr[br], l.RowPtr[br+1])
-		for rr := 0; rr < rn; rr++ {
-			s := acc[rr]
-			if l.Bias != nil {
-				s += l.Bias[r0+rr]
-			}
-			dst[r0+rr] = s
-		}
+	done := 0 // rows the AVX body scored, bias included
+	if l.Block == 8 && mat.HasAVX() {
+		bsr8AVX(dst, x, l.Bias, l.Blocks, l.BlockCols, l.RowPtr)
+		done = l.Rows &^ 7
 	}
-}
-
-// accumBlockRow accumulates tiles [lo,hi) of one block row into acc
-// (len = Block), dispatching to the unrolled kernels for the
-// hardware-aligned shapes.
-func (l *BSR) accumBlockRow(acc, x []float64, lo, hi int32) {
 	switch l.Block {
 	case 8:
-		l.accumBlockRow8(acc, x, lo, hi)
+		l.rows8(dst, x, done/8)
 	case 4:
-		l.accumBlockRow4(acc, x, lo, hi)
+		l.rows4(dst, x)
 	default:
-		l.accumBlockRowGeneric(acc, x, lo, hi)
+		l.rowsGeneric(dst, x)
 	}
-}
-
-// accumBlockRow8 is the unrolled 8×8 micro-tile kernel: eight
-// consecutive inputs are loaded once per tile and reused across the
-// tile's eight rows; the inner statements are straight-line so the
-// compiler keeps everything in registers. The per-row accumulation
-// order (ascending columns within ascending tiles) matches dense.
-func (l *BSR) accumBlockRow8(acc, x []float64, lo, hi int32) {
-	for k := lo; k < hi; k++ {
-		c0 := int(l.BlockCols[k]) * 8
-		t := l.Blocks[int(k)*64 : int(k)*64+64]
-		if c0+8 <= l.ColsDim {
-			xv := x[c0 : c0+8 : c0+8]
-			x0, x1, x2, x3 := xv[0], xv[1], xv[2], xv[3]
-			x4, x5, x6, x7 := xv[4], xv[5], xv[6], xv[7]
-			for rr := 0; rr < 8; rr++ {
-				row := t[rr*8 : rr*8+8 : rr*8+8]
-				s := acc[rr]
-				s += row[0] * x0
-				s += row[1] * x1
-				s += row[2] * x2
-				s += row[3] * x3
-				s += row[4] * x4
-				s += row[5] * x5
-				s += row[6] * x6
-				s += row[7] * x7
-				acc[rr] = s
-			}
-			continue
-		}
-		// right-edge tile: fewer than 8 real columns
-		cn := l.ColsDim - c0
-		for rr := 0; rr < 8; rr++ {
-			s := acc[rr]
-			for j := 0; j < cn; j++ {
-				s += t[rr*8+j] * x[c0+j]
-			}
-			acc[rr] = s
+	if l.Bias != nil {
+		for i := done; i < l.Rows; i++ {
+			dst[i] += l.Bias[i]
 		}
 	}
 }
 
-// accumBlockRow4 is the unrolled 4×4 micro-tile kernel.
-func (l *BSR) accumBlockRow4(acc, x []float64, lo, hi int32) {
-	for k := lo; k < hi; k++ {
-		c0 := int(l.BlockCols[k]) * 4
-		t := l.Blocks[int(k)*16 : int(k)*16+16]
-		if c0+4 <= l.ColsDim {
-			xv := x[c0 : c0+4 : c0+4]
+// rows8 is the portable 8×8 body: it scores block rows from..BlockRows
+// into dst. A full tile loads its eight inputs once and runs 64
+// straight-line statements, column by column, into eight accumulators
+// the compiler keeps in registers; a right-edge tile runs only its real
+// columns.
+func (l *BSR) rows8(dst, x []float64, from int) {
+	for br := from; br < l.BlockRows(); br++ {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for k := l.RowPtr[br]; k < l.RowPtr[br+1]; k++ {
+			c0 := int(l.BlockCols[k]) * 8
+			t := l.Blocks[int(k)*64:][:64]
+			if c0+8 > len(x) {
+				for cc, xc := range x[c0:] {
+					col := t[cc*8:][:8]
+					a0 += col[0] * xc
+					a1 += col[1] * xc
+					a2 += col[2] * xc
+					a3 += col[3] * xc
+					a4 += col[4] * xc
+					a5 += col[5] * xc
+					a6 += col[6] * xc
+					a7 += col[7] * xc
+				}
+				continue
+			}
+			xv := x[c0:][:8]
+			x0, x1, x2, x3, x4, x5, x6, x7 := xv[0], xv[1], xv[2], xv[3], xv[4], xv[5], xv[6], xv[7]
+			a0 += t[0] * x0
+			a1 += t[1] * x0
+			a2 += t[2] * x0
+			a3 += t[3] * x0
+			a4 += t[4] * x0
+			a5 += t[5] * x0
+			a6 += t[6] * x0
+			a7 += t[7] * x0
+			a0 += t[8] * x1
+			a1 += t[9] * x1
+			a2 += t[10] * x1
+			a3 += t[11] * x1
+			a4 += t[12] * x1
+			a5 += t[13] * x1
+			a6 += t[14] * x1
+			a7 += t[15] * x1
+			a0 += t[16] * x2
+			a1 += t[17] * x2
+			a2 += t[18] * x2
+			a3 += t[19] * x2
+			a4 += t[20] * x2
+			a5 += t[21] * x2
+			a6 += t[22] * x2
+			a7 += t[23] * x2
+			a0 += t[24] * x3
+			a1 += t[25] * x3
+			a2 += t[26] * x3
+			a3 += t[27] * x3
+			a4 += t[28] * x3
+			a5 += t[29] * x3
+			a6 += t[30] * x3
+			a7 += t[31] * x3
+			a0 += t[32] * x4
+			a1 += t[33] * x4
+			a2 += t[34] * x4
+			a3 += t[35] * x4
+			a4 += t[36] * x4
+			a5 += t[37] * x4
+			a6 += t[38] * x4
+			a7 += t[39] * x4
+			a0 += t[40] * x5
+			a1 += t[41] * x5
+			a2 += t[42] * x5
+			a3 += t[43] * x5
+			a4 += t[44] * x5
+			a5 += t[45] * x5
+			a6 += t[46] * x5
+			a7 += t[47] * x5
+			a0 += t[48] * x6
+			a1 += t[49] * x6
+			a2 += t[50] * x6
+			a3 += t[51] * x6
+			a4 += t[52] * x6
+			a5 += t[53] * x6
+			a6 += t[54] * x6
+			a7 += t[55] * x6
+			a0 += t[56] * x7
+			a1 += t[57] * x7
+			a2 += t[58] * x7
+			a3 += t[59] * x7
+			a4 += t[60] * x7
+			a5 += t[61] * x7
+			a6 += t[62] * x7
+			a7 += t[63] * x7
+		}
+		out := [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+		copy(dst[br*8:], out[:])
+	}
+}
+
+// rows4 is rows8's 4×4 shape over every block row: 16 straight-line
+// statements per full tile into four accumulators.
+func (l *BSR) rows4(dst, x []float64) {
+	for br := 0; br < l.BlockRows(); br++ {
+		var a0, a1, a2, a3 float64
+		for k := l.RowPtr[br]; k < l.RowPtr[br+1]; k++ {
+			c0 := int(l.BlockCols[k]) * 4
+			t := l.Blocks[int(k)*16:][:16]
+			if c0+4 > len(x) {
+				for cc, xc := range x[c0:] {
+					col := t[cc*4:][:4]
+					a0 += col[0] * xc
+					a1 += col[1] * xc
+					a2 += col[2] * xc
+					a3 += col[3] * xc
+				}
+				continue
+			}
+			xv := x[c0:][:4]
 			x0, x1, x2, x3 := xv[0], xv[1], xv[2], xv[3]
-			for rr := 0; rr < 4; rr++ {
-				row := t[rr*4 : rr*4+4 : rr*4+4]
-				s := acc[rr]
-				s += row[0] * x0
-				s += row[1] * x1
-				s += row[2] * x2
-				s += row[3] * x3
-				acc[rr] = s
-			}
-			continue
+			a0 += t[0] * x0
+			a1 += t[1] * x0
+			a2 += t[2] * x0
+			a3 += t[3] * x0
+			a0 += t[4] * x1
+			a1 += t[5] * x1
+			a2 += t[6] * x1
+			a3 += t[7] * x1
+			a0 += t[8] * x2
+			a1 += t[9] * x2
+			a2 += t[10] * x2
+			a3 += t[11] * x2
+			a0 += t[12] * x3
+			a1 += t[13] * x3
+			a2 += t[14] * x3
+			a3 += t[15] * x3
 		}
-		cn := l.ColsDim - c0
-		for rr := 0; rr < 4; rr++ {
-			s := acc[rr]
-			for j := 0; j < cn; j++ {
-				s += t[rr*4+j] * x[c0+j]
-			}
-			acc[rr] = s
-		}
+		out := [4]float64{a0, a1, a2, a3}
+		copy(dst[br*4:], out[:])
 	}
 }
 
@@ -274,7 +344,7 @@ func (l *BSR) ToDense() *mat.Matrix {
 					if c >= l.ColsDim {
 						break
 					}
-					m.Set(r, c, tile[rr*b+cc])
+					m.Set(r, c, tile[cc*b+rr])
 				}
 			}
 		}
@@ -282,22 +352,20 @@ func (l *BSR) ToDense() *mat.Matrix {
 	return m
 }
 
-// accumBlockRowGeneric handles the remaining block edges.
-func (l *BSR) accumBlockRowGeneric(acc, x []float64, lo, hi int32) {
+// rowsGeneric scores every block row for the remaining block edges.
+func (l *BSR) rowsGeneric(dst, x []float64) {
 	b := l.Block
-	for k := lo; k < hi; k++ {
-		c0 := int(l.BlockCols[k]) * b
-		cn := b
-		if c0+cn > l.ColsDim {
-			cn = l.ColsDim - c0
-		}
-		t := l.Blocks[int(k)*b*b : (int(k)+1)*b*b]
-		for rr := 0; rr < b; rr++ {
-			s := acc[rr]
-			for j := 0; j < cn; j++ {
-				s += t[rr*b+j] * x[c0+j]
+	for br := 0; br < l.BlockRows(); br++ {
+		var acc [MaxBlock]float64
+		for k := l.RowPtr[br]; k < l.RowPtr[br+1]; k++ {
+			c0 := int(l.BlockCols[k]) * b
+			t := l.Blocks[int(k)*b*b:][:b*b]
+			for cc, xc := range x[c0:min(c0+b, len(x))] {
+				for rr, w := range t[cc*b:][:b] {
+					acc[rr] += w * xc
+				}
 			}
-			acc[rr] = s
 		}
+		copy(dst[br*b:], acc[:b])
 	}
 }

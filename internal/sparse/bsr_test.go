@@ -4,9 +4,30 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	_ "unsafe" // for go:linkname
 
 	"repro/internal/mat"
 )
+
+// useAVX is mat's unexported choice of kernel body, set at init from
+// CPUID; BSR.MatVec reads it through mat.HasAVX. bsrBodies flips it to
+// run the BSR kernel on each body.
+//
+//go:linkname useAVX repro/internal/mat.useAVX
+var useAVX bool
+
+// bsrBodies runs f once per BSR body this machine can execute: the
+// portable Go bodies always, the AVX body where the CPU has it.
+func bsrBodies(f func(body string)) {
+	saved := useAVX
+	defer func() { useAVX = saved }()
+	useAVX = false
+	f("portable")
+	if saved {
+		useAVX = true
+		f("avx")
+	}
+}
 
 // blockPrunedMatrix fills a dense matrix with normals and then zeroes
 // whole block×block tiles, keeping each with probability keep — the
@@ -90,6 +111,97 @@ func TestBSRMatVecBitIdenticalToDense(t *testing.T) {
 			t.Fatalf("block=%d: %v", block, err)
 		}
 	}
+}
+
+// TestBSRBodiesMatchMatVec pins BSR.MatVec, through both bodies,
+// bit for bit against Matrix.MatVec plus the bias on every shape from
+// 1 to 40 rows and 1 to 80 columns at block edges 3, 4 and 8: ragged
+// bottom block rows, right-edge tiles, every third block row empty,
+// and a third of the shapes with no stored tile at all. Weights and
+// inputs mix signed zeros, subnormals and magnitudes whose partial sums
+// overflow to ±Inf and then NaN, as in mat's panel test. Inputs stay
+// finite, so the zero tiles BSR skips add exact zeros in the dense sum.
+func TestBSRBodiesMatchMatVec(t *testing.T) {
+	specials := []float64{
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -4 * math.SmallestNonzeroFloat64,
+		0x1p-1022, 1e308, -1e308, math.MaxFloat64, 1, -1, 1e-300, 3,
+	}
+	rng := mat.NewRNG(23)
+	value := func() float64 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+	}
+	for _, block := range []int{3, 4, 8} {
+		for rows := 1; rows <= 40; rows++ {
+			for cols := 1; cols <= 80; cols++ {
+				keep := []float64{0, 0.2, 0.7}[(rows+cols)%3]
+				m := mat.NewMatrix(rows, cols)
+				for r := 0; r < rows; r++ {
+					for c := 0; c < cols; c++ {
+						m.Set(r, c, value())
+					}
+				}
+				for br := 0; br*block < rows; br++ {
+					for bc := 0; bc*block < cols; bc++ {
+						if br%3 != 1 && rng.Float64() < keep {
+							continue
+						}
+						for r := br * block; r < min((br+1)*block, rows); r++ {
+							for c := bc * block; c < min((bc+1)*block, cols); c++ {
+								m.Set(r, c, 0)
+							}
+						}
+					}
+				}
+				bias := make([]float64, rows)
+				x := make([]float64, cols)
+				for i := range bias {
+					bias[i] = value()
+				}
+				for i := range x {
+					x[i] = value()
+				}
+				want := make([]float64, rows)
+				m.MatVec(want, x)
+				for i := range want {
+					want[i] += bias[i]
+				}
+				l := FromDenseBSR(m, bias, block)
+				got := make([]float64, rows)
+				bsrBodies(func(body string) {
+					mat.Fill(got, math.NaN())
+					l.MatVec(got, x)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s body, block %d, %dx%d (%d tiles) row %d: BSR %v (%#x), Matrix %v (%#x)",
+								body, block, rows, cols, l.BlockCount(), i,
+								got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkBSRMatVec runs an 8×8 BSR layer with about 10% of its tiles
+// stored, 400×80 like the served FC2, through each body this machine
+// has; mat's BenchmarkPanelsMatVec is the dense layer of that shape.
+func BenchmarkBSRMatVec(b *testing.B) {
+	rng := mat.NewRNG(1)
+	l := FromDenseBSR(blockPrunedMatrix(rng, 400, 80, 8, 0.1), nil, 8)
+	x := make([]float64, l.ColsDim)
+	rng.FillNorm(x, 0, 1)
+	dst := make([]float64, l.Rows)
+	bsrBodies(func(body string) {
+		b.Run(body, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l.MatVec(dst, x)
+			}
+		})
+	})
 }
 
 // TestBSRStorageBeatsCSROnBlockPruned pins the storage half of the
