@@ -38,7 +38,9 @@ go test -race ./...
 # order under the race detector, so a reintroduced ordering race
 # between a session's terminal reply and the server's bookkeeping
 # (slot release, Served(), sessions_active) fails here rather than
-# intermittently later.
+# intermittently later. The root package's TestFleetProcesses runs
+# twenty times too; it builds its binaries and trains its models once
+# per test binary.
 go test -race -count=20 -shuffle=on ./internal/serve ./internal/router .
 
 # Frame codec fuzz leg: a bounded run of FuzzFrameCodec, which pins the
@@ -53,14 +55,21 @@ go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 15s ./internal/serve
 # tests; the test run above only replays its seed corpus.
 go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime 15s ./internal/dnn
 
-# Server smoke test: train a tiny model, start asrserve on a random
-# port, stream the test set through asrload (both race-built), then
-# SIGTERM and require a clean drain (exit 0). Pins the binaries'
-# wiring end to end — flag parsing, model loading, the wire protocol,
-# and signal handling — which unit tests can't.
+# Model-file fuzz leg: a bounded run of FuzzLoad. A model file is
+# untrusted input that a SIGHUP reload hands to a live server: Load
+# must never panic, and every net it accepts must compile under each
+# backend and score a frame.
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 15s ./internal/dnn
+
+# Decode smokes: train tiny models with race-built binaries, then
+# drive asrdecode and darkside end to end. Serving binaries are pinned
+# in Go instead: benchmark's TestServedSmoke (one asrserve, and a
+# routed pair) and the root package's TestFleetProcesses (manifest
+# backends, router parity, SIGHUP under traffic, clean drains), both
+# in the test runs above.
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
-go build -race -o "$smoke" ./cmd/asrtrain ./cmd/asrserve ./cmd/asrload ./cmd/asrdecode ./cmd/asrrouter ./cmd/asrbench ./cmd/darkside
+go build -race -o "$smoke" ./cmd/asrtrain ./cmd/asrdecode ./cmd/darkside
 "$smoke"/asrtrain -scale tiny -out "$smoke/models" >/dev/null
 
 # Backend-parity smoke: decode the same pruned model with the dense
@@ -224,155 +233,3 @@ awk '
 	}' "$smoke/bench_decode.out" >BENCH_decode.json ||
 	{ echo "decode gate failed: pooled p90 under the 1.5x floor or steady-state allocs/op > 0 (see BENCH_decode.json)" >&2; exit 1; }
 echo "BENCH_decode.json: $(grep p90_speedup BENCH_decode.json)"
-"$smoke"/asrserve -scale tiny -model "$smoke/models/tiny-prune90.model" \
-	-addr localhost:0 >"$smoke/serve.out" 2>"$smoke/serve.err" &
-server=$!
-addr=
-for _ in $(seq 1 100); do
-	addr=$(sed -n 's/^listening on //p' "$smoke/serve.out" 2>/dev/null)
-	[ -n "$addr" ] && break
-	if ! kill -0 "$server" 2>/dev/null; then
-		echo "asrserve exited before listening:" >&2
-		cat "$smoke/serve.err" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-if [ -z "$addr" ]; then
-	echo "asrserve never printed its address" >&2
-	kill "$server" 2>/dev/null
-	exit 1
-fi
-"$smoke"/asrload -scale tiny -addr "$addr" -sessions 16
-kill -TERM "$server"
-if ! wait "$server"; then
-	echo "asrserve did not drain cleanly on SIGTERM:" >&2
-	cat "$smoke/serve.err" >&2
-	exit 1
-fi
-echo "server smoke test ok ($addr)"
-
-# Router smoke test: two multi-model asrserve backends (dense and
-# sparse variants of the same pruned model, and a block-pruned model on
-# bsr) behind asrrouter, mixed per-model traffic from asrload,
-# byte-identical transcripts through the router vs direct, and one
-# SIGHUP hot-swap under live traffic with a clean drain at the end. All
-# binaries are race-built.
-cat >"$smoke/models/manifest.json" <<'EOF'
-{
-  "default": "tiny-dense",
-  "variants": [
-    {"name": "tiny-dense",  "model": "tiny-prune90.model", "backend": "dense"},
-    {"name": "tiny-sparse", "model": "tiny-prune90.model", "backend": "sparse"},
-    {"name": "tiny-bsr",    "model": "tiny-block90.model", "backend": "bsr"}
-  ]
-}
-EOF
-
-# await_addr PIDVAR OUTFILE ERRFILE: wait for "listening on HOST:PORT"
-# and echo the address; fails the script if the process dies first.
-await_addr() {
-	pid=$1; out=$2; errf=$3; a=
-	for _ in $(seq 1 100); do
-		a=$(sed -n 's/^listening on //p' "$out" 2>/dev/null)
-		[ -n "$a" ] && break
-		if ! kill -0 "$pid" 2>/dev/null; then
-			echo "process $pid exited before listening:" >&2
-			cat "$errf" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-	if [ -z "$a" ]; then
-		echo "process $pid never printed its address" >&2
-		exit 1
-	fi
-	echo "$a"
-}
-
-"$smoke"/asrserve -scale tiny -manifest "$smoke/models/manifest.json" \
-	-addr localhost:0 >"$smoke/b1.out" 2>"$smoke/b1.err" &
-backend1=$!
-"$smoke"/asrserve -scale tiny -manifest "$smoke/models/manifest.json" \
-	-addr localhost:0 >"$smoke/b2.out" 2>"$smoke/b2.err" &
-backend2=$!
-addr1=$(await_addr "$backend1" "$smoke/b1.out" "$smoke/b1.err")
-addr2=$(await_addr "$backend2" "$smoke/b2.out" "$smoke/b2.err")
-"$smoke"/asrrouter -backends "$addr1,$addr2" \
-	-addr localhost:0 >"$smoke/rt.out" 2>"$smoke/rt.err" &
-routerpid=$!
-raddr=$(await_addr "$routerpid" "$smoke/rt.out" "$smoke/rt.err")
-
-# Mixed-model traffic direct to a backend vs through the router: the
-# per-utterance transcript lines must be byte-for-byte identical.
-"$smoke"/asrload -scale tiny -addr "$addr1" -sessions 8 \
-	-models tiny-dense,tiny-sparse,tiny-bsr -v >"$smoke/load.direct"
-"$smoke"/asrload -scale tiny -addr "$raddr" -sessions 8 \
-	-models tiny-dense,tiny-sparse,tiny-bsr -v >"$smoke/load.routed"
-grep '^utt ' "$smoke/load.direct" >"$smoke/utt.direct"
-grep '^utt ' "$smoke/load.routed" >"$smoke/utt.routed"
-if ! cmp -s "$smoke/utt.direct" "$smoke/utt.routed"; then
-	echo "router parity broken: routed and direct transcripts differ:" >&2
-	diff "$smoke/utt.direct" "$smoke/utt.routed" >&2 || true
-	exit 1
-fi
-
-# Hot-swap under live traffic: SIGHUP backend 1 while a routed load is
-# streaming. In-flight sessions must finish on their pinned plans
-# (asrload exits non-zero on any failed utterance) and — since the
-# reloaded file holds the same weights — transcripts stay identical.
-"$smoke"/asrload -scale tiny -addr "$raddr" -sessions 8 \
-	-models tiny-dense,tiny-sparse,tiny-bsr -v >"$smoke/load.swap" &
-loadpid=$!
-sleep 0.3
-kill -HUP "$backend1"
-if ! wait "$loadpid"; then
-	echo "asrload failed across the SIGHUP hot-swap" >&2
-	exit 1
-fi
-if ! grep -q 'SIGHUP: reloaded' "$smoke/b1.err"; then
-	echo "backend 1 did not log the SIGHUP reload:" >&2
-	cat "$smoke/b1.err" >&2
-	exit 1
-fi
-grep '^utt ' "$smoke/load.swap" >"$smoke/utt.swap"
-if ! cmp -s "$smoke/utt.direct" "$smoke/utt.swap"; then
-	echo "hot-swap broke transcript parity:" >&2
-	diff "$smoke/utt.direct" "$smoke/utt.swap" >&2 || true
-	exit 1
-fi
-
-# Tear the fleet down: router first, then the backends; every process
-# must drain cleanly (exit 0).
-for victim in "$routerpid" "$backend1" "$backend2"; do
-	kill -TERM "$victim"
-done
-for victim in "$routerpid" "$backend1" "$backend2"; do
-	if ! wait "$victim"; then
-		echo "process $victim did not drain cleanly on SIGTERM" >&2
-		cat "$smoke/rt.err" "$smoke/b1.err" "$smoke/b2.err" >&2
-		exit 1
-	fi
-done
-echo "router smoke test ok (router $raddr -> $addr1, $addr2; hot-swap clean)"
-
-# Corpus-scale serving bench: replay a tiny mixed-profile corpus
-# open-loop up a rate ladder tall enough to cross the saturation knee
-# on any plausible machine (race-built, so capacity is ~10x below a
-# plain build). Distils BENCH_serve.json (docs/BENCHMARKING.md has the
-# field reference) and enforces the fleet-level floors: the knee must
-# actually be found and sustained throughput must clear a
-# conservative floor.
-"$smoke"/asrbench -scale tiny -model "$smoke/models/tiny-prune90.model" \
-	-utts 48 -rates 6,12,24,48,96,192,384,768 -slo 500ms \
-	-json BENCH_serve.json >"$smoke/bench_serve.out"
-tail -n 3 "$smoke/bench_serve.out"
-awk -F': *' '
-	/"found":/                    { found = ($2 ~ /true/) }
-	/"sustained_frames_per_sec":/ { gsub(/,/, "", $2); sfs = $2 + 0 }
-	END {
-		if (!found) { print "saturation knee not crossed: raise the -rates ladder" > "/dev/stderr"; exit 1 }
-		if (sfs < 400) { printf "sustained throughput %.0f frames/s under the 400 floor\n", sfs > "/dev/stderr"; exit 1 }
-		printf "BENCH_serve.json: knee %.0f frames/s sustained\n", sfs
-	}' BENCH_serve.json ||
-	{ echo "serving bench gate failed (see BENCH_serve.json)" >&2; exit 1; }

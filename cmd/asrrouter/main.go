@@ -19,7 +19,8 @@
 // SIGTERM/SIGINT drains gracefully: new sessions are refused, spliced
 // sessions run to completion, then the process exits 0. -addr with
 // port 0 picks a free port; the resolved address is printed as
-// "listening on HOST:PORT" (the line ci.sh's smoke test parses).
+// "listening on HOST:PORT" (the line TestFleetProcesses and the
+// benchmark parse).
 // Topology and semantics are documented in docs/SERVING.md.
 package main
 

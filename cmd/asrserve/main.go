@@ -43,11 +43,11 @@
 // The wire protocol, manifest format, and backpressure contract are
 // documented in docs/SERVING.md;
 // cmd/asrrouter shards sessions across several asrserve processes and
-// cmd/asrload is the load generator. Transcripts are bit-identical to
-// asrdecode on the same model — concurrency never changes decode
+// clients open sessions with serve.Dial. Transcripts are bit-identical
+// to asrdecode on the same model — concurrency never changes decode
 // output. -addr with port 0 picks a free port; the resolved
-// address is printed as "listening on HOST:PORT" (the line ci.sh's
-// smoke test parses).
+// address is printed as "listening on HOST:PORT" (the line
+// TestFleetProcesses and the benchmark parse).
 package main
 
 import (

@@ -87,61 +87,125 @@ func TestLoadRejectsWrongFormatVersion(t *testing.T) {
 	}
 }
 
+// layerOf returns sn's first layer of the given kind.
+func layerOf(sn *savedNetwork, kind string) *savedLayer {
+	for i := range sn.Layers {
+		if sn.Layers[i].Kind == kind {
+			return &sn.Layers[i]
+		}
+	}
+	panic("no " + kind + " layer")
+}
+
+// corruptions are well-formed gobs of corrupt networks: each edits one
+// field of a saved testTopology net into a shape a layer constructor
+// or Compile would panic on.
+var corruptions = []struct {
+	name    string
+	corrupt func(sn *savedNetwork)
+}{
+	{"pnorm group does not divide input", func(sn *savedNetwork) { layerOf(sn, "pnorm").Group = 3 }},
+	{"pnorm group zero", func(sn *savedNetwork) { layerOf(sn, "pnorm").Group = 0 }},
+	{"renorm dimension zero", func(sn *savedNetwork) { layerOf(sn, "renorm").In = 0 }},
+	{"layers do not chain", func(sn *savedNetwork) { layerOf(sn, "renorm").In += 4 }},
+	{"mask length", func(sn *savedNetwork) { layerOf(sn, "fc").Mask = []bool{true} }},
+	{"block above max", func(sn *savedNetwork) { layerOf(sn, "fc").Block = sparse.MaxBlock + 1 }},
+	{"block negative", func(sn *savedNetwork) { layerOf(sn, "fc").Block = -1 }},
+	{"fc shape overflows", func(sn *savedNetwork) {
+		fc := layerOf(sn, "fc")
+		fc.In, fc.Out, fc.Weights, fc.Biases = 1<<62, 4, nil, make([]float64, 4)
+	}},
+}
+
+// savedModel returns net's saved bytes after edit (nil = unedited).
+func savedModel(tb testing.TB, net *Network, edit func(sn *savedNetwork)) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	if edit == nil {
+		return buf.Bytes()
+	}
+	var sn savedNetwork
+	if err := gob.NewDecoder(&buf).Decode(&sn); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&sn)
+	buf.Reset()
+	if err := encodeGob(&buf, sn); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestLoadRejectsCorruptModel pins that a well-formed gob holding a
 // corrupt network is refused with an error, never a panic: Load is
 // the SIGHUP reload path of a live server.
 func TestLoadRejectsCorruptModel(t *testing.T) {
 	net := testTopology().Build(mat.NewRNG(25))
-	layer := func(sn *savedNetwork, kind string) *savedLayer {
-		for i := range sn.Layers {
-			if sn.Layers[i].Kind == kind {
-				return &sn.Layers[i]
-			}
-		}
-		t.Fatalf("no %s layer", kind)
-		return nil
-	}
-	cases := []struct {
-		name    string
-		corrupt func(sn *savedNetwork)
-	}{
-		{"pnorm group does not divide input", func(sn *savedNetwork) { layer(sn, "pnorm").Group = 3 }},
-		{"pnorm group zero", func(sn *savedNetwork) { layer(sn, "pnorm").Group = 0 }},
-		{"renorm dimension zero", func(sn *savedNetwork) { layer(sn, "renorm").In = 0 }},
-		{"layers do not chain", func(sn *savedNetwork) { layer(sn, "renorm").In += 4 }},
-		{"mask length", func(sn *savedNetwork) { layer(sn, "fc").Mask = []bool{true} }},
-		{"block above max", func(sn *savedNetwork) { layer(sn, "fc").Block = sparse.MaxBlock + 1 }},
-		{"block negative", func(sn *savedNetwork) { layer(sn, "fc").Block = -1 }},
-		{"fc shape overflows", func(sn *savedNetwork) {
-			fc := layer(sn, "fc")
-			fc.In, fc.Out, fc.Weights, fc.Biases = 1<<62, 4, nil, make([]float64, 4)
-		}},
-	}
-	for _, c := range cases {
+	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := net.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			var sn savedNetwork
-			if err := gob.NewDecoder(&buf).Decode(&sn); err != nil {
-				t.Fatal(err)
-			}
-			c.corrupt(&sn)
-			buf.Reset()
-			if err := encodeGob(&buf, sn); err != nil {
-				t.Fatal(err)
-			}
+			data := savedModel(t, net, c.corrupt)
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("Load panicked: %v", r)
 				}
 			}()
-			if _, err := Load(&buf); err == nil {
+			if _, err := Load(bytes.NewReader(data)); err == nil {
 				t.Fatal("corrupt model accepted")
 			}
 		})
 	}
+}
+
+// pruneTiles masks every trainable FC of net in block×block tiles,
+// keeping one tile in three; block 1 is an unstructured mask.
+func pruneTiles(net *Network, block int) {
+	for _, fc := range net.FCs() {
+		if !fc.Trainable {
+			continue
+		}
+		cols := fc.InDim()
+		fc.Mask = make([]bool, len(fc.W.Data))
+		for i := range fc.Mask {
+			fc.Mask[i] = (i/cols/block+i%cols/block)%3 == 0
+		}
+		if block > 1 {
+			fc.BlockSize = block
+		}
+		fc.ApplyMask()
+	}
+}
+
+// FuzzLoad feeds Load arbitrary bytes, seeded with a saved dense, a
+// pruned and a block-pruned net and every corruption above. Load must
+// never panic, and every net it accepts must compile under each
+// backend and score a frame without panicking: a model file is
+// untrusted input that a SIGHUP reload hands to a live server.
+func FuzzLoad(f *testing.F) {
+	for _, block := range []int{0, 1, 8} {
+		net := testTopology().Build(mat.NewRNG(26))
+		if block > 0 {
+			pruneTiles(net, block)
+		}
+		f.Add(savedModel(f, net, nil))
+	}
+	net := testTopology().Build(mat.NewRNG(25))
+	for _, c := range corruptions {
+		f.Add(savedModel(f, net, c.corrupt))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		x := make([]float64, net.InDim())
+		dst := make([]float64, net.OutDim())
+		for _, b := range []Backend{BackendAuto, BackendDense, BackendSparse, BackendBSR} {
+			Compile(net, PlanConfig{Backend: b}).NewExec().LogPosteriors(dst, x)
+		}
+	})
 }
 
 func TestStepOnUntrainedLayerIsNoOp(t *testing.T) {

@@ -170,20 +170,6 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the smallest element of x (-1 for empty x).
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // LogSumExp returns log(Σ exp(x_i)) computed stably.
 func LogSumExp(x []float64) float64 {
 	if len(x) == 0 {

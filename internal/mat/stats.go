@@ -31,51 +31,13 @@ func StdDev(x []float64) float64 {
 	return math.Sqrt(s / float64(len(x)))
 }
 
-// AbsStdDev returns the population standard deviation of |x_i|,
-// matching the statistic Han et al. threshold against (they compute the
-// spread of weight magnitudes within a layer).
-func AbsStdDev(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	abs := make([]float64, len(x))
-	for i, v := range x {
-		abs[i] = math.Abs(v)
-	}
-	return StdDev(abs)
-}
-
-// Percentile returns the p-th percentile (0..100) of x using linear
-// interpolation between closest ranks. x is not modified.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), x...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Quantile returns the nearest-rank p-quantile (p in 0..1) of x: the
 // sorted sample at index round(p*(n-1)), clamped to the valid range.
 // This is the quantile definition every latency report in the repo
-// shares (asr.PipelineResult tails, cmd/asrload, internal/bench) —
-// unlike Percentile it never interpolates, so the result is always an
-// observed sample and is bit-reproducible from the inputs. x is not
-// modified; empty x reports 0.
+// shares (asr.PipelineResult tails and the benchmark's summaries): it
+// never interpolates, so the result is always an observed sample and
+// is bit-reproducible from the inputs. x is not modified; empty x
+// reports 0.
 func Quantile(x []float64, p float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -100,26 +62,4 @@ func QuantileSorted(sorted []float64, p float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// Histogram bins x into n equal-width buckets over [min, max] and
-// returns the bucket counts. Values outside the range clamp to the
-// first/last bucket.
-func Histogram(x []float64, n int, min, max float64) []int {
-	counts := make([]int, n)
-	if n == 0 || len(x) == 0 || max <= min {
-		return counts
-	}
-	w := (max - min) / float64(n)
-	for _, v := range x {
-		b := int((v - min) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts
 }

@@ -18,42 +18,10 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestAbsStdDev(t *testing.T) {
-	// symmetric values: StdDev sees spread, AbsStdDev sees none
-	x := []float64{-1, 1, -1, 1}
-	if StdDev(x) != 1 {
-		t.Fatalf("StdDev = %v", StdDev(x))
-	}
-	if AbsStdDev(x) != 0 {
-		t.Fatalf("AbsStdDev = %v, want 0", AbsStdDev(x))
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {-5, 1}, {110, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(x, c.p); !almostEqual(got, c.want, 1e-12) {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatalf("empty percentile should be 0")
-	}
-	// does not mutate input
-	y := []float64{3, 1, 2}
-	Percentile(y, 50)
-	if y[0] != 3 || y[1] != 1 || y[2] != 2 {
-		t.Fatalf("input mutated: %v", y)
-	}
-}
-
 // TestQuantile pins the nearest-rank definition against hand-computed
 // values: for n samples the p-quantile is sorted[round(p*(n-1))]. The
 // fixture is the contract every latency report shares (asr pipeline
-// tails, cmd/asrload, internal/bench), so a change here is a change to
+// tails, the benchmark's summaries), so a change here is a change to
 // all of them at once.
 func TestQuantile(t *testing.T) {
 	// n=5, sorted 10..50: index = round(p*4)
@@ -93,18 +61,6 @@ func TestQuantile(t *testing.T) {
 	}
 	if QuantileSorted([]float64{1, 2, 3}, 0.5) != 2 {
 		t.Fatalf("QuantileSorted broken")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	x := []float64{0.1, 0.9, 1.5, 2.5, -1, 10}
-	h := Histogram(x, 3, 0, 3)
-	// buckets: [0,1) [1,2) [2,3); -1 clamps to first, 10 to last
-	if h[0] != 3 || h[1] != 1 || h[2] != 2 {
-		t.Fatalf("Histogram = %v", h)
-	}
-	if got := Histogram(x, 0, 0, 3); len(got) != 0 {
-		t.Fatalf("zero buckets should be empty")
 	}
 }
 

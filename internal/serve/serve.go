@@ -32,7 +32,7 @@
 //
 // Protocol and semantics are documented in docs/SERVING.md;
 // cmd/asrserve is the binary, cmd/asrrouter the shard router in front
-// of it, and cmd/asrload the load generator.
+// of it, and Dial the client.
 package serve
 
 import (
