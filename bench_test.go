@@ -21,8 +21,8 @@ import (
 	"repro/internal/asr"
 	"repro/internal/core"
 	"repro/internal/decoder"
+	"repro/internal/dnn"
 	"repro/internal/experiments"
-	"repro/internal/features"
 	"repro/internal/gmm"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -575,11 +575,12 @@ func BenchmarkAccurateNBestInsert(b *testing.B) {
 func BenchmarkDNNForward(b *testing.B) {
 	sys := benchSystem(b)
 	net := sys.Models[0]
+	ex := dnn.Compile(net, dnn.PlanConfig{}).NewExec()
 	in := sys.TestSamples[0].Input
 	out := make([]float64, net.OutDim())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.LogPosteriors(out, in)
+		ex.LogPosteriors(out, in)
 	}
 }
 
@@ -662,39 +663,6 @@ func BenchmarkLazyCompositionDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lazy := decoder.New(wfst.NewLazy(sys.World))
 		lazy.Decode(scores, cfg)
-	}
-}
-
-func BenchmarkFFT512(b *testing.B) {
-	rng := mat.NewRNG(12)
-	x := make([]complex128, 512)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-	}
-	buf := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		if err := features.FFT(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMFCCExtract(b *testing.B) {
-	cfg := features.DefaultMFCCConfig()
-	e, err := features.NewExtractor(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := mat.NewRNG(13)
-	signal := make([]float64, cfg.SampleRate) // one second
-	rng.FillNorm(signal, 0, 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Extract(signal); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -86,7 +86,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.SetPlanConfig(dnn.PlanConfig{Backend: backend})
 
 	world, err := speech.NewWorld(scale.World)
 	if err != nil {
@@ -119,7 +118,7 @@ func main() {
 	// scoring scratch; the decoder and graph are likewise shared
 	// read-only. Outcomes land per index and aggregate in order, so the
 	// printed transcripts and WER match a serial run exactly.
-	plan := net.Plan()
+	plan := dnn.Compile(net, dnn.PlanConfig{Backend: backend})
 	if *verbose {
 		log.Printf("backend %s: %s", backend, plan.Describe())
 	}

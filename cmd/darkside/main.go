@@ -4,14 +4,13 @@
 // Usage:
 //
 //	darkside [-scale tiny|small|paper] [-only fig11,fig12,...] [-workers n]
-//	         [-backend auto|dense|sparse|bsr] [-metrics-addr localhost:9090] [-v]
+//	         [-metrics-addr localhost:9090] [-v]
 //
 // With no -only flag, all experiments run in paper order. Decoding
 // fans out over the engine's worker pools (-workers 1 forces the
-// serial reference path; the output is identical either way).
-// -backend selects the acoustic-scoring kernels of every model's
-// compiled inference plan; tables are bit-identical across backends,
-// only the measured software DNN time changes.
+// serial reference path; the output is identical either way). Models
+// score on auto plans; the kernels are bit-identical, so tables do not
+// depend on the kernel choice (asrdecode's -backend forces one).
 //
 // -metrics-addr serves the internal/obs registry over HTTP while the
 // run is in flight (/metrics JSON, /metrics/text, /debug/pprof/); -v
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/asr"
-	"repro/internal/dnn"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -43,7 +41,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. fig3,fig11); empty = all")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	workers := flag.Int("workers", 0, "engine worker-pool width per level (0 = one per core, 1 = serial)")
-	backendFlag := flag.String("backend", "auto", "acoustic-scoring kernels: auto, dense, sparse or bsr")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (enables observation)")
 	verbose := flag.Bool("v", false, "enable observation and print the metrics summary to stderr at the end")
 	flag.Parse()
@@ -65,11 +62,6 @@ func main() {
 		log.Fatalf("unknown scale %q", *scaleName)
 	}
 
-	backend, err := dnn.ParseBackend(*backendFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -88,7 +80,6 @@ func main() {
 	// The engine fans utterances and matrix configs over worker pools;
 	// results are identical at any width (index-ordered aggregation).
 	sys.Engine = asr.EngineConfig{UttWorkers: *workers, CfgWorkers: *workers}
-	sys.SetBackend(backend)
 	poolWidth := *workers
 	if poolWidth <= 0 {
 		poolWidth = runtime.GOMAXPROCS(0)

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/asr"
+	"repro/internal/dnn"
 	"repro/internal/mat"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	// Figure 1: pick the frame the baseline is most confident about
 	// (the paper admits its example is well selected) and print the
 	// sorted score distribution per model as a text sparkline.
-	baseline := sys.Models[0]
+	baseline := dnn.Compile(sys.Models[0], dnn.PlanConfig{}).NewExec()
 	post := make([]float64, sys.World.NumSenones())
 	bestConf, bestIdx := -1.0, 0
 	for i, s := range sys.TestSamples {
@@ -44,8 +45,8 @@ func main() {
 
 	fmt.Println("\nFigure 1 — score distribution for one frame (top 12 classes):")
 	for _, lv := range sys.Levels() {
-		net := sys.Models[lv]
-		conf := net.Posteriors(post, frame.Input)
+		ex := dnn.Compile(sys.Models[lv], dnn.PlanConfig{}).NewExec()
+		conf := ex.Posteriors(post, frame.Input)
 		top := mat.ArgMax(post)
 		sorted := append([]float64(nil), post...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))

@@ -120,24 +120,19 @@ func (r *Report) EnergyPerFrame() energy.Account {
 
 // Analyze runs the timing model over every FC layer of the network.
 // Layers with a block-pruning mask run the block lane model
-// (analyzeBlock, over the plan's BSR view); other masked layers run the
-// index-gather sparse path; dense layers the streaming path.
-// Pooling/normalization layers contribute negligibly (the paper:
-// "the vast majority of the computations for MLPs come from FC
-// layers") and are folded into the pipeline as one cycle per output.
-//
-// The CSR view of each pruned layer comes from the network's compiled
-// inference plan (dnn.Network.Plan), which caches it across analyses
-// — repeated Analyze calls over one model (the experiment sweeps do
-// many) no longer re-run sparse.FromDense per layer.
+// (analyzeBlock, over the layer compressed to BSR); other masked
+// layers run the index-gather sparse path over the layer compressed to
+// CSR; dense layers the streaming path. Pooling/normalization layers
+// contribute negligibly (the paper: "the vast majority of the
+// computations for MLPs come from FC layers") and are folded into the
+// pipeline as one cycle per output.
 func Analyze(net *dnn.Network, cfg Config) (*Report, error) {
 	if cfg.Lanes() <= 0 || cfg.IOBanks <= 0 || cfg.IOReadPorts <= 0 {
 		return nil, fmt.Errorf("dnnsim: invalid config %+v", cfg)
 	}
-	plan := net.Plan()
 	rep := &Report{cfg: cfg}
 	var bits int64
-	for i, layer := range net.Layers {
+	for _, layer := range net.Layers {
 		fc, ok := layer.(*dnn.FC)
 		if !ok {
 			// pooling / renorm run on the specialized functional units
@@ -147,21 +142,11 @@ func Analyze(net *dnn.Network, cfg Config) (*Report, error) {
 		}
 		var lr LayerReport
 		if fc.Mask != nil && fc.BlockSize > 0 {
-			bl := plan.BSR(i)
-			if bl == nil {
-				// a plan compiled under a non-default config may skip the
-				// BSR view; fall back to compressing here
-				bl = sparse.FromDenseBSR(fc.W, fc.B, fc.BlockSize)
-			}
+			bl := sparse.FromDenseBSR(fc.W, fc.B, fc.BlockSize)
 			lr = analyzeBlock(fc.LayerName, bl, cfg)
 			bits += bl.StorageBits(cfg.WeightBits, cfg.IndexBits)
 		} else if fc.Mask != nil {
-			sl := plan.Sparse(i)
-			if sl == nil {
-				// a plan compiled under a non-default config may skip the
-				// CSR view; fall back to compressing here
-				sl = sparse.FromDense(fc.W, fc.B)
-			}
+			sl := sparse.FromDense(fc.W, fc.B)
 			lr = analyzeSparse(fc.LayerName, sl, cfg)
 			bits += sl.StorageBits(cfg.WeightBits, cfg.IndexBits)
 		} else {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dnn"
 	"repro/internal/speech"
 )
 
@@ -219,16 +220,16 @@ func TestScaleAccessors(t *testing.T) {
 }
 
 func TestScoresParallelMatchesSerial(t *testing.T) {
-	// Scores fans utterances across goroutines with cloned networks;
-	// the result must equal a straightforward serial computation.
+	// Scores fans utterances across goroutines sharing one auto plan;
+	// the result must equal a serial computation on a dense plan.
 	sys := tinySystem(t)
-	net := sys.Models[90]
+	ref := dnn.Compile(sys.Models[90], dnn.PlanConfig{Backend: dnn.BackendDense}).NewExec()
 	got := sys.Scores(90)
 	for i, u := range sys.TestSet[:3] {
 		spliced := speechSpliceAll(u, sys.Scale.Context)
 		for f, in := range spliced {
 			want := make([]float64, sys.World.NumSenones())
-			net.LogPosteriors(want, in)
+			ref.LogPosteriors(want, in)
 			for s := range want {
 				if got[i][f][s] != want[s] {
 					t.Fatalf("utt %d frame %d senone %d: %v != %v",

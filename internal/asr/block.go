@@ -66,9 +66,9 @@ func (s *System) blockModelLocked(level, block int) (*dnn.Network, pruning.Repor
 // BlockScores returns (computing and caching on first use) the
 // per-frame acoustic log-posteriors of every test utterance under the
 // block-pruned model at the given level and tile edge — the block
-// counterpart of Scores. The model's default auto plan runs the bsr
-// kernel, which is bit-identical to dense, so these scores depend only
-// on the block-pruned weights, not on the kernel choice.
+// counterpart of Scores. The auto plan scoreTestSet compiles runs the
+// bsr kernel, which is bit-identical to dense, so these scores depend
+// only on the block-pruned weights, not on the kernel choice.
 func (s *System) BlockScores(level, block int) ([][][]float64, error) {
 	s.blockMu.Lock()
 	defer s.blockMu.Unlock()
@@ -80,7 +80,7 @@ func (s *System) BlockScores(level, block int) ([][][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := s.scoreTestSet(net.Plan())
+	sc := s.scoreTestSet(net)
 	if s.blockScores == nil {
 		s.blockScores = map[blockKey][][][]float64{}
 	}

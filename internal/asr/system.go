@@ -115,20 +115,6 @@ func Build(scale Scale, levels []int) (*System, error) {
 	return sys, nil
 }
 
-// SetBackend sets the acoustic-scoring backend
-// (auto/dense/sparse/bsr) every model's compiled inference plan uses
-// from now on, dropping any previously compiled plans. Decode outputs
-// are bit-identical across the backends. Call before decoding starts
-// (it is not synchronized against in-flight inference), and note the
-// Scores/Quality caches are keyed by pruning level only — they do not
-// watch backend switches, so set the backend before the first scoring
-// pass, not between them.
-func (s *System) SetBackend(b dnn.Backend) {
-	for _, net := range s.Models {
-		net.SetPlanConfig(dnn.PlanConfig{Backend: b})
-	}
-}
-
 // Levels returns the available pruning levels in ascending order.
 func (s *System) Levels() []int {
 	var out []int
@@ -153,17 +139,19 @@ func (s *System) Scores(level int) [][][]float64 {
 	if !ok {
 		panic(fmt.Sprintf("asr: no model at pruning level %d", level))
 	}
-	all := s.scoreTestSet(net.Plan())
+	all := s.scoreTestSet(net)
 	s.scores[level] = all
 	return all
 }
 
-// scoreTestSet runs the per-frame forward pass of every test utterance
-// through the given compiled plan. Forward passes dominate experiment
-// setup time; utterances are independent, so they are scored on all
-// cores. All workers share the one plan (read-only) and own only an
-// Exec of per-worker scratch — no per-worker Network clones.
-func (s *System) scoreTestSet(plan *dnn.Plan) [][][]float64 {
+// scoreTestSet compiles net's auto plan and runs the per-frame forward
+// pass of every test utterance through it. Forward passes dominate
+// experiment setup time; utterances are independent, so they are
+// scored on all cores. All workers share the one plan (read-only) and
+// own only an Exec of per-worker scratch — no per-worker Network
+// clones.
+func (s *System) scoreTestSet(net *dnn.Network) [][][]float64 {
+	plan := dnn.Compile(net, dnn.PlanConfig{})
 	all := make([][][]float64, len(s.TestSet))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(s.TestSet) {
@@ -201,9 +189,8 @@ func (s *System) scoreTestSet(plan *dnn.Plan) [][][]float64 {
 }
 
 // Quality evaluates (once, caching) frame-level model quality on the
-// test samples. The lock also serializes dnn.Evaluate, which reuses
-// the network's scratch activations, so concurrent Run invocations at
-// the same pruning level cannot race on them.
+// test samples. Safe for concurrent callers; the first one computes
+// while the rest wait.
 func (s *System) Quality(level int) (top1, top5, confidence float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,8 +216,8 @@ func (s *System) Quality(level int) (top1, top5, confidence float64) {
 // TestVocabChangePreservesMeans in internal/speech), so a world that
 // differs only in Vocab has identical senones and the parent's models
 // score its frames correctly. The derived system shares the parent's
-// model networks: run derived systems one at a time — Quality reuses
-// per-network scratch that only each system's own lock serializes.
+// model networks read-only: every scorer compiles its own plan, so
+// derived systems may run concurrently.
 func (s *System) Derive(world *speech.World, testSet []*speech.Utterance) *System {
 	g := wfst.Compile(world)
 	return &System{

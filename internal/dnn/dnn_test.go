@@ -83,7 +83,7 @@ func TestPosteriorsSumToOne(t *testing.T) {
 	in := make([]float64, net.InDim())
 	rng.FillNorm(in, 0, 1)
 	post := make([]float64, net.OutDim())
-	conf := net.Posteriors(post, in)
+	conf := Compile(net, PlanConfig{}).NewExec().Posteriors(post, in)
 	var sum float64
 	for _, p := range post {
 		sum += p
@@ -108,7 +108,7 @@ func TestBackpropGradientCheck(t *testing.T) {
 	sample := Sample{Input: in, Label: 2}
 
 	loss := func() float64 {
-		logits := net.Logits(sample.Input)
+		logits := Compile(net, PlanConfig{Backend: BackendDense}).NewExec().Logits(sample.Input)
 		post := make([]float64, len(logits))
 		mat.Softmax(post, logits)
 		return -math.Log(post[sample.Label])
@@ -125,20 +125,17 @@ func TestBackpropGradientCheck(t *testing.T) {
 		if fc.dW == nil {
 			t.Fatalf("layer %s has no gradients", fc.LayerName)
 		}
-		// spot-check a few weights per layer; every write to the
-		// weights is followed by InvalidatePlan, since the cached plan
-		// scores a snapshot taken at compile time
+		// spot-check a few weights per layer; loss compiles a fresh
+		// plan each call, since a plan scores a snapshot taken at
+		// compile time
 		idxs := []int{0, len(fc.W.Data) / 2, len(fc.W.Data) - 1}
 		for _, i := range idxs {
 			orig := fc.W.Data[i]
 			fc.W.Data[i] = orig + eps
-			net.InvalidatePlan()
 			up := loss()
 			fc.W.Data[i] = orig - eps
-			net.InvalidatePlan()
 			down := loss()
 			fc.W.Data[i] = orig
-			net.InvalidatePlan()
 			numeric := (up - down) / (2 * eps)
 			analytic := fc.dW[i]
 			if math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)) {
@@ -262,8 +259,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := mat.NewRNG(14)
 	in := make([]float64, net.InDim())
 	rng.FillNorm(in, 0, 1)
-	a := append([]float64(nil), net.Logits(in)...)
-	b := loaded.Logits(in)
+	a := Compile(net, PlanConfig{}).NewExec().Logits(in)
+	b := Compile(loaded, PlanConfig{}).NewExec().Logits(in)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("loaded network disagrees at %d: %v vs %v", i, a[i], b[i])

@@ -2,32 +2,21 @@ package dnn
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/mat"
 	"repro/internal/obs"
 )
 
 // Network is a feed-forward stack of layers ending in a linear layer
-// whose outputs are senone logits; Posteriors applies the softmax.
+// whose outputs are senone logits.
 //
-// Inference on a Network runs through a compiled inference plan
-// (plan.go): Logits and friends are thin wrappers over a lazily
-// compiled, cached Plan plus one private Exec carrying the scratch.
-// The cached plan is invalidated whenever the weights change
-// (training steps, pruning, quantization), so the wrappers always
-// execute the current weights; callers that fan inference across
-// goroutines share the one Plan and give each worker its own Exec.
+// A Network holds weights and trains; it does not score. Inference
+// goes through Compile, which snapshots the current weights into a
+// Plan, and an Exec over that plan (plan.go). Weight mutations
+// (training steps, pruning, quantization) therefore never have to
+// know that plans exist: a scorer compiles after the mutation it
+// wants to see.
 type Network struct {
 	Layers []Layer
-
-	// planMu guards the lazily compiled plan/exec pair and the config
-	// it is compiled under. Compilation may be triggered concurrently
-	// (e.g. dnnsim.Analyze from parallel experiment configs).
-	planMu  sync.Mutex
-	planCfg PlanConfig
-	plan    *Plan
-	exec    *Exec
 }
 
 // NewNetwork validates that consecutive layer dimensions agree and
@@ -49,52 +38,6 @@ func checkChain(layers []Layer) error {
 		}
 	}
 	return nil
-}
-
-// SetPlanConfig sets the configuration future cached plans compile
-// under (the -backend flag of the commands lands here) and drops any
-// previously compiled plan.
-func (n *Network) SetPlanConfig(cfg PlanConfig) {
-	n.planMu.Lock()
-	n.planCfg = cfg
-	n.plan, n.exec = nil, nil
-	n.planMu.Unlock()
-}
-
-// InvalidatePlan drops the cached plan so the next inference or Plan
-// call recompiles from the current weights. Called by every weight
-// mutation site (training steps, pruning, quantization).
-func (n *Network) InvalidatePlan() {
-	n.planMu.Lock()
-	n.plan, n.exec = nil, nil
-	n.planMu.Unlock()
-}
-
-// Plan returns the network's cached compiled plan, compiling it on
-// first use (or after an invalidation) under the config set by
-// SetPlanConfig. The returned plan is shared read-only: concurrent
-// workers should each obtain their own Exec from it.
-func (n *Network) Plan() *Plan {
-	n.planMu.Lock()
-	defer n.planMu.Unlock()
-	if n.plan == nil {
-		n.plan = Compile(n, n.planCfg)
-	}
-	return n.plan
-}
-
-// ownExec returns the Exec backing the Network's own inference
-// wrappers. Like the wrappers themselves it is single-goroutine.
-func (n *Network) ownExec() *Exec {
-	n.planMu.Lock()
-	defer n.planMu.Unlock()
-	if n.plan == nil {
-		n.plan = Compile(n, n.planCfg)
-	}
-	if n.exec == nil {
-		n.exec = n.plan.NewExec()
-	}
-	return n.exec
 }
 
 // InDim reports the input dimensionality of the network.
@@ -136,34 +79,6 @@ func (n *Network) forwardInto(acts [][]float64, in []float64) []float64 {
 	sp.Stop()
 	obsForwardPasses.Inc()
 	return acts[len(acts)-1]
-}
-
-// Logits computes the pre-softmax outputs for one input frame through
-// the cached compiled plan. The returned slice is reused by the next
-// call; copy it to retain. Not safe for concurrent use on one Network
-// — concurrent workers should share n.Plan() and own per-worker Execs.
-func (n *Network) Logits(in []float64) []float64 {
-	return n.ownExec().Logits(in)
-}
-
-// Posteriors writes softmax class probabilities for in into dst and
-// returns the confidence, i.e. the probability of the top-1 class.
-func (n *Network) Posteriors(dst, in []float64) float64 {
-	return mat.Softmax(dst, n.Logits(in))
-}
-
-// LogPosteriors writes log-softmax outputs for in into dst. These are
-// the acoustic scores consumed by the Viterbi search.
-func (n *Network) LogPosteriors(dst, in []float64) {
-	mat.LogSoftmax(dst, n.Logits(in))
-}
-
-// Classify returns the top-1 class index and its probability.
-func (n *Network) Classify(in []float64) (class int, confidence float64) {
-	logits := n.Logits(in)
-	post := make([]float64, len(logits))
-	conf := mat.Softmax(post, logits)
-	return mat.ArgMax(post), conf
 }
 
 // FCs returns the fully-connected layers in order (the pruning surface
@@ -243,9 +158,5 @@ func (n *Network) Clone() *Network {
 			panic(fmt.Sprintf("dnn: cannot clone layer type %T", l))
 		}
 	}
-	c := NewNetwork(layers...)
-	n.planMu.Lock()
-	c.planCfg = n.planCfg
-	n.planMu.Unlock()
-	return c
+	return NewNetwork(layers...)
 }

@@ -62,26 +62,23 @@ type PlanConfig struct {
 
 // planLayer is one compiled execution step: the layer's name and
 // output width, the chosen kernel (which, for FC layers, holds its own
-// snapshot of the weights in its own layout), the per-kernel timer
-// resolved at compile time, and (when compiled) the CSR and BSR views.
-// It keeps no reference to the source FC layer.
+// snapshot of the weights in the one layout it runs), and the
+// per-kernel timer resolved at compile time. It keeps no reference to
+// the source FC layer.
 type planLayer struct {
 	name    string
 	outDim  int
-	fc      bool          // an FC layer; false for pooling/renorm layers
-	csr     *sparse.Layer // compiled CSR; non-nil for every masked FC
-	bsr     *sparse.BSR   // compiled BSR; non-nil for block-pruned FCs and bsr kernels
-	kern    Kernel        // the compute implementation; never nil
-	timer   *obs.Timer    // dnn.kernel_seconds child for kern (layer timer for non-FC)
-	density float64       // NNZ / weight count at compile time
+	fc      bool       // an FC layer; false for pooling/renorm layers
+	kern    Kernel     // the compute implementation; never nil
+	timer   *obs.Timer // dnn.kernel_seconds child for kern (layer timer for non-FC)
+	density float64    // NNZ / weight count at compile time
 }
 
 // Plan is a compiled inference plan: one immutable kernel schedule
 // built from a snapshot of a Network's weights. A Plan selects one
 // Kernel per layer — float dense, CSR sparse or BSR block-sparse,
-// bit-identical to each other by construction — and pre-computes the
-// CSR views so consumers like the accelerator simulator never
-// re-compress a layer.
+// bit-identical to each other by construction — and stores each
+// layer only in the layout its kernel runs.
 //
 // Ownership contract (DESIGN.md §6c): a Plan is shared read-only — any
 // number of goroutines may execute it concurrently, each through its
@@ -90,8 +87,7 @@ type planLayer struct {
 // Compile, so the Plan never observes later mutations of the source
 // Network and keeps none of its FC storage alive: retraining, pruning
 // or quantizing the network leaves previously compiled plans scoring
-// the old weights (Network.Plan recompiles after InvalidatePlan,
-// hand-compiled plans must be rebuilt by the caller).
+// the old weights; a scorer that wants the new weights compiles again.
 type Plan struct {
 	layers []planLayer
 	inDim  int
@@ -121,31 +117,16 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 			wantBSR := cfg.Backend == BackendBSR ||
 				(cfg.Backend == BackendAuto && fc.BlockSize > 0 && belowThreshold)
 			wantCSR := cfg.Backend == BackendSparse ||
-				(cfg.Backend == BackendAuto && belowThreshold && !wantBSR)
-			// Compile the CSR view whenever a CSR-shaped kernel needs
-			// it, and for every masked layer regardless of kernel
-			// choice: the accelerator simulator analyzes pruned layers
-			// through it (dnnsim reuses these instead of re-running
-			// sparse.FromDense per analysis).
-			if wantCSR || fc.Mask != nil {
-				pl.csr = sparse.FromDense(fc.W, fc.B)
-			}
-			// Likewise the BSR view: for the bsr kernel, and for every
-			// block-pruned layer regardless of kernel choice, so the
-			// accelerator simulator's block lane model and the storage
-			// accounting read the compiled tiles.
-			if wantBSR || (fc.BlockSize > 0 && fc.Mask != nil) {
+				(cfg.Backend == BackendAuto && belowThreshold)
+			switch {
+			case wantBSR:
 				block := fc.BlockSize
 				if block <= 0 {
 					block = DefaultBSRBlock
 				}
-				pl.bsr = sparse.FromDenseBSR(fc.W, fc.B, block)
-			}
-			switch {
-			case wantBSR:
-				pl.kern = bsrKernel{pl.bsr}
+				pl.kern = bsrKernel{sparse.FromDenseBSR(fc.W, fc.B, block)}
 			case wantCSR:
-				pl.kern = csrKernel{pl.csr}
+				pl.kern = csrKernel{sparse.FromDense(fc.W, fc.B)}
 			default:
 				pl.kern = newDenseKernel(fc)
 			}
@@ -166,16 +147,6 @@ func (p *Plan) InDim() int { return p.inDim }
 
 // OutDim reports the number of output classes (senones).
 func (p *Plan) OutDim() int { return p.outDim }
-
-// Sparse returns the compiled CSR view of layer i, or nil when none
-// was built (non-FC layers and unmasked dense-kernel layers). The
-// returned layer is shared read-only.
-func (p *Plan) Sparse(i int) *sparse.Layer { return p.layers[i].csr }
-
-// BSR returns the compiled block-sparse view of layer i, or nil when
-// none was built (layers without block metadata not running the bsr
-// kernel). The returned layer is shared read-only.
-func (p *Plan) BSR(i int) *sparse.BSR { return p.layers[i].bsr }
 
 // Kernels reports the chosen kernel name per layer ("dense", "sparse",
 // "bsr", or "-" for non-FC layers) for logs and tests. The names come
@@ -221,7 +192,7 @@ func (p *Plan) newActivations() [][]float64 {
 // NewExec returns a fresh executor over the plan. The Exec owns all
 // mutable scratch (the activation buffers), so one plan may be shared
 // by any number of concurrent Execs; each individual Exec is
-// single-goroutine, like the Network methods it replaces.
+// single-goroutine.
 func (p *Plan) NewExec() *Exec {
 	return &Exec{plan: p, acts: p.newActivations()}
 }

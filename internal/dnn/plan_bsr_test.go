@@ -179,8 +179,7 @@ func TestDensityPolicyBoundary(t *testing.T) {
 
 // TestAutoBackendPrefersBSROverCSR pins the promotion rule: at 90%
 // block pruning the auto plan runs bsr (not sparse) on every pruned
-// layer, compiles both the BSR and CSR views (the simulator reads
-// both), and Describe agrees with Kernels.
+// layer, and Describe agrees with Kernels.
 func TestAutoBackendPrefersBSROverCSR(t *testing.T) {
 	net := blockPrunedNet(t, 0.9, 8)
 	plan := dnn.Compile(net, dnn.PlanConfig{})
@@ -202,12 +201,6 @@ func TestAutoBackendPrefersBSROverCSR(t *testing.T) {
 			continue
 		}
 		sawBSR = true
-		if plan.BSR(i) == nil {
-			t.Errorf("layer %s: no compiled BSR view", fc.LayerName)
-		}
-		if plan.Sparse(i) == nil {
-			t.Errorf("layer %s: CSR view missing (simulator consumers rely on it)", fc.LayerName)
-		}
 	}
 	if !sawBSR {
 		t.Fatal("auto backend never selected bsr at 90% block pruning")
@@ -227,14 +220,14 @@ func containsKernel(describe, kern string) bool {
 }
 
 // TestPlanBSRSharedConcurrent is the ownership-contract race test for
-// the bsr kernel: one block-pruned plan shared by many goroutines must
-// reproduce the serial reference bit for bit (run under -race by
+// the bsr kernel: one block-pruned auto plan shared by many goroutines
+// must reproduce the dense reference bit for bit (run under -race by
 // ci.sh).
 func TestPlanBSRSharedConcurrent(t *testing.T) {
 	topo := blockTopology()
 	frames := testFrames(topo, 32)
 	net := blockPrunedNet(t, 0.9, 8)
-	plan := net.Plan()
+	plan := dnn.Compile(net, dnn.PlanConfig{})
 	for _, k := range plan.Kernels() {
 		if k == "bsr" {
 			goto run
@@ -242,7 +235,7 @@ func TestPlanBSRSharedConcurrent(t *testing.T) {
 	}
 	t.Fatal("plan compiled no bsr kernel")
 run:
-	ref := plan.NewExec()
+	ref := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendDense}).NewExec()
 	want := make([][]float64, len(frames))
 	for i, f := range frames {
 		want[i] = make([]float64, net.OutDim())
@@ -306,9 +299,11 @@ func TestBlockMetadataSurvivesSaveLoad(t *testing.T) {
 		t.Fatalf("loaded block model compiled kernels %v without bsr", kernels)
 	}
 
-	// and the loaded model scores bit-identically to the original
+	// and the loaded model on bsr scores bit-identically to the
+	// original on dense
 	in := testFrames(blockTopology(), 1)[0]
-	if !bitsEqual(net.Logits(in), loaded.Logits(in)) {
+	want := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendDense}).NewExec().Logits(in)
+	if !bitsEqual(want, dnn.Compile(loaded, dnn.PlanConfig{}).NewExec().Logits(in)) {
 		t.Fatal("loaded model logits differ from original")
 	}
 	_ = os.Remove(path)

@@ -168,8 +168,7 @@ func TestAutoBackendKernelSelection(t *testing.T) {
 	}
 
 	pruned := prunedNet(t, 0.9)
-	plan := dnn.Compile(pruned, dnn.PlanConfig{})
-	kernels := plan.Kernels()
+	kernels := dnn.Compile(pruned, dnn.PlanConfig{}).Kernels()
 	var sawSparse bool
 	for i, l := range pruned.Layers {
 		fc, ok := l.(*dnn.FC)
@@ -184,9 +183,6 @@ func TestAutoBackendKernelSelection(t *testing.T) {
 				fc.LayerName, float64(fc.W.NNZ())/float64(fc.W.Rows*fc.W.Cols), kernels[i])
 		case fc.Trainable:
 			sawSparse = true
-			if plan.Sparse(i) == nil {
-				t.Errorf("pruned layer %s: no compiled CSR view", fc.LayerName)
-			}
 		}
 	}
 	if !sawSparse {
@@ -195,16 +191,16 @@ func TestAutoBackendKernelSelection(t *testing.T) {
 }
 
 // TestPlanSharedConcurrent is the ownership-contract race test: one
-// plan shared by many goroutines, each scoring through its own Exec,
-// must produce the serial reference bit for bit (run under -race by
-// ci.sh).
+// auto plan shared by many goroutines, each scoring through its own
+// Exec, must produce the dense reference bit for bit (run under -race
+// by ci.sh).
 func TestPlanSharedConcurrent(t *testing.T) {
 	topo := testTopology()
 	frames := testFrames(topo, 32)
 	net := prunedNet(t, 0.9)
-	plan := net.Plan()
+	plan := dnn.Compile(net, dnn.PlanConfig{})
 
-	ref := plan.NewExec()
+	ref := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendDense}).NewExec()
 	want := make([][]float64, len(frames))
 	for i, f := range frames {
 		want[i] = make([]float64, net.OutDim())
@@ -239,27 +235,33 @@ func TestPlanSharedConcurrent(t *testing.T) {
 	}
 }
 
-// TestNetworkWrapperRecompiles pins plan invalidation: inference
-// through the Network wrappers after a weight mutation (pruning) must
-// reflect the new weights, not a stale compiled plan.
-func TestNetworkWrapperRecompiles(t *testing.T) {
-	net := prunedNet(t, 0)
-	in := testFrames(testTopology(), 1)[0]
-	before := append([]float64(nil), net.Logits(in)...) // compiles the plan
-
-	quality, err := pruning.CalibrateQuality(net, 0.9)
-	if err != nil {
-		t.Fatal(err)
+// TestEvaluateConcurrent pins that dnn.Evaluate shares no scratch
+// between callers: two goroutines evaluating one Network at once must
+// not race (run under -race by ci.sh) and must agree with a serial run.
+func TestEvaluateConcurrent(t *testing.T) {
+	topo := testTopology()
+	net := prunedNet(t, 0.9)
+	samples := make([]dnn.Sample, 0, 32)
+	for i, f := range testFrames(topo, 32) {
+		samples = append(samples, dnn.Sample{Input: f, Label: i % topo.Senones})
 	}
-	pruning.Prune(net, quality)
-	after := net.Logits(in)
+	var want [3]float64
+	want[0], want[1], want[2] = dnn.Evaluate(net, samples)
 
-	fresh := dnn.Compile(net, dnn.PlanConfig{}).NewExec().Logits(in)
-	if !bitsEqual(after, fresh) {
-		t.Fatal("wrapper served a stale plan after pruning")
+	var got [2][3]float64
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g][0], got[g][1], got[g][2] = dnn.Evaluate(net, samples)
+		}()
 	}
-	if bitsEqual(before, after) {
-		t.Fatal("pruning 90% of weights did not change the logits — invalidation untestable")
+	wg.Wait()
+	for g := range got {
+		if got[g] != want {
+			t.Errorf("goroutine %d: Evaluate = %v, serial %v", g, got[g], want)
+		}
 	}
 }
 

@@ -86,15 +86,12 @@ func (t *Trainer) step(s Sample) float64 {
 }
 
 // applyStep updates every trainable FC layer, scaling the accumulated
-// gradient by 1/batch. The weight mutation invalidates any compiled
-// inference plan cached on the network (a mutex grab and two nil
-// stores — negligible against a batch of forward/backward passes).
+// gradient by 1/batch.
 func (t *Trainer) applyStep(lr, l2 float64, batch int) {
 	scale := lr / float64(batch)
 	for _, fc := range t.net.FCs() {
 		fc.Step(scale, l2)
 	}
-	t.net.InvalidatePlan()
 }
 
 // Train runs SGD over the samples according to cfg and returns the
@@ -135,16 +132,19 @@ func (t *Trainer) Train(samples []Sample, cfg TrainConfig) float64 {
 
 // Evaluate reports top-1 accuracy, top-5 accuracy and mean confidence
 // (top-1 softmax probability) over the samples — the three quality
-// metrics Section II of the paper contrasts.
+// metrics Section II of the paper contrasts. It compiles the network's
+// current weights and scores on its own Exec, so concurrent callers on
+// one Network share nothing mutable.
 func Evaluate(net *Network, samples []Sample) (top1, top5, meanConfidence float64) {
 	if len(samples) == 0 {
 		return 0, 0, 0
 	}
+	ex := Compile(net, PlanConfig{}).NewExec()
 	post := make([]float64, net.OutDim())
 	var hits1, hits5 int
 	var confSum float64
 	for _, s := range samples {
-		conf := net.Posteriors(post, s.Input)
+		conf := ex.Posteriors(post, s.Input)
 		confSum += conf
 		pLabel := post[s.Label]
 		rank := 0

@@ -14,7 +14,7 @@ import (
 // model is most confident — the paper's Figure 1 is such a
 // "admittedly well selected example".
 func representativeFrame(sys *asr.System) dnn.Sample {
-	baseline := sys.Models[0]
+	baseline := dnn.Compile(sys.Models[0], dnn.PlanConfig{}).NewExec()
 	post := make([]float64, sys.World.NumSenones())
 	bestConf, bestIdx := -1.0, 0
 	for i, s := range sys.TestSamples {
@@ -38,8 +38,8 @@ func Fig1(sys *asr.System) (*Table, error) {
 	}
 	top1Classes := map[int]bool{}
 	for _, lv := range sys.Levels() {
-		net := sys.Models[lv]
-		conf := net.Posteriors(post, frame.Input)
+		ex := dnn.Compile(sys.Models[lv], dnn.PlanConfig{}).NewExec()
+		conf := ex.Posteriors(post, frame.Input)
 		sorted := append([]float64(nil), post...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 		var top5 float64
@@ -161,8 +161,7 @@ func Fig5(sys *asr.System) (*Table, error) {
 		Header: []string{"model", "best cost", "2nd-best cost", "within beam 15", "within beam 8"},
 	}
 	for _, lv := range sys.Levels() {
-		net := sys.Models[lv]
-		net.LogPosteriors(scores, frame.Input)
+		dnn.Compile(sys.Models[lv], dnn.PlanConfig{}).NewExec().LogPosteriors(scores, frame.Input)
 		costs := make([]float64, len(scores))
 		for i, s := range scores {
 			costs[i] = -s

@@ -88,9 +88,8 @@ type ScenarioRun struct {
 // twice — under the static default beam and under the scale's default
 // adaptive controller — and returns the runs in matrix order (each
 // scenario's static run immediately before its adaptive run).
-// Scenarios run serially (derived systems share the parent's models;
-// see Derive); utterances within each run still fan out over the
-// engine pool, and results are bit-reproducible at any width.
+// Utterances within each run fan out over the engine pool, and
+// results are bit-reproducible at any width.
 func RunAdaptiveMatrix(sys *asr.System) ([]ScenarioRun, error) {
 	ctl := sys.Scale.DefaultControl()
 	var out []ScenarioRun

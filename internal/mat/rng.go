@@ -74,10 +74,3 @@ func (g *RNG) FillNorm(dst []float64, mu, sigma float64) {
 		dst[i] = mu + sigma*g.NormFloat64()
 	}
 }
-
-// FillUniform fills dst with Uniform(lo, hi) samples.
-func (g *RNG) FillUniform(dst []float64, lo, hi float64) {
-	for i := range dst {
-		dst[i] = lo + (hi-lo)*g.Float64()
-	}
-}

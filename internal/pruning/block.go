@@ -149,7 +149,6 @@ func BlockPrune(net *dnn.Network, quality float64, block int) Report {
 		totalTrainable += fc.WeightCount()
 		totalPruned += pruned
 	}
-	net.InvalidatePlan()
 	if totalTrainable > 0 {
 		rep.GlobalPruning = float64(totalPruned) / float64(totalTrainable)
 	}
@@ -245,7 +244,6 @@ func BlockPruneAndRetrain(baseline *dnn.Network, samples []dnn.Sample, cfg Block
 		for _, fc := range net.FCs() {
 			fc.ApplyMask()
 		}
-		net.InvalidatePlan()
 	}
 	dnn.PublishWeightStats(net)
 	return Result{Net: net, Report: rep}, nil

@@ -66,9 +66,6 @@ func Prune(net *dnn.Network, quality float64) Report {
 		totalTrainable += fc.WeightCount()
 		totalPruned += pruned
 	}
-	// Masks changed the effective weights: any compiled inference plan
-	// is stale.
-	net.InvalidatePlan()
 	if totalTrainable > 0 {
 		rep.GlobalPruning = float64(totalPruned) / float64(totalTrainable)
 	}
@@ -154,7 +151,6 @@ func PruneAndRetrain(baseline *dnn.Network, samples []dnn.Sample, cfg Config) (R
 		for _, fc := range net.FCs() {
 			fc.ApplyMask()
 		}
-		net.InvalidatePlan()
 	}
 	dnn.PublishWeightStats(net)
 	return Result{Net: net, Report: rep}, nil

@@ -87,9 +87,6 @@ func Quantize(net *dnn.Network, bits int) (*dnn.Network, Report, error) {
 		rep.TotalHuffmanBits += huff + int64(len(codebook))*32
 		rep.TotalFixedBits += fixed + int64(len(codebook))*32
 	}
-	// The clone's weights were rewritten in place after Clone; drop any
-	// inference plan compiled in the meantime.
-	out.InvalidatePlan()
 	return out, rep, nil
 }
 

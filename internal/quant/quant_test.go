@@ -118,11 +118,11 @@ func TestQuantizeAccuracySurvives8Bit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	netEx := dnn.Compile(net, dnn.PlanConfig{}).NewExec()
+	qEx := dnn.Compile(q, dnn.PlanConfig{}).NewExec()
 	agree := 0
 	for _, s := range samples {
-		a, _ := net.Classify(s.Input)
-		b, _ := q.Classify(s.Input)
-		if a == b {
+		if mat.ArgMax(netEx.Logits(s.Input)) == mat.ArgMax(qEx.Logits(s.Input)) {
 			agree++
 		}
 	}

@@ -44,10 +44,6 @@ func (v *Variant) Name() string { return v.name }
 // Backend returns the kernel policy the variant's plans compile under.
 func (v *Variant) Backend() dnn.Backend { return v.backend }
 
-// Path returns the model file backing Reload ("" when the variant was
-// registered from an in-memory network).
-func (v *Variant) Path() string { return v.path }
-
 // Plan returns the variant's current compiled plan. The returned plan
 // is shared read-only and stays valid after later swaps: a session
 // that captures it ("pins" it) keeps decoding the exact weights it

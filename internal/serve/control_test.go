@@ -68,18 +68,12 @@ func TestAdaptiveSessionMatchesLocal(t *testing.T) {
 	}
 }
 
-// scored splices one utterance and computes its acoustic scores with a
-// fresh clone of the fixture network (the same rows the server's
+// scored splices one utterance and computes its acoustic scores on a
+// dense plan of the fixture network (the same rows the server's
 // per-session Exec will produce).
 func (f *testFixture) scored(u *speech.Utterance) (spliced, scores [][]float64) {
 	spliced = speech.SpliceAll(u.Frames, f.topo.Context)
-	net := f.net.Clone()
-	scores = make([][]float64, len(spliced))
-	for i, in := range spliced {
-		scores[i] = make([]float64, f.topo.Senones)
-		net.LogPosteriors(scores[i], in)
-	}
-	return spliced, scores
+	return spliced, denseScores(f.net, spliced)
 }
 
 // TestMalformedControlRejected pins the admission contract: an invalid

@@ -184,7 +184,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc bounds checked without -race")
 	}
 	f := newFixture(t)
-	srv, err := New(Config{Net: f.net.Clone(), Decoder: f.dec, Decode: decoder.Config{Beam: 15, AcousticScale: 1}})
+	srv, err := New(Config{Registry: f.registry(t), Decoder: f.dec, Decode: decoder.Config{Beam: 15, AcousticScale: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

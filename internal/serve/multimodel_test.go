@@ -51,7 +51,6 @@ func newMultiFixture(t *testing.T) *multiFixture {
 func (f *multiFixture) startMulti(t *testing.T, mutate func(*Config)) (*Server, string, func()) {
 	t.Helper()
 	return f.start(t, func(c *Config) {
-		c.Net = nil
 		c.Registry = f.reg
 		if mutate != nil {
 			mutate(c)
@@ -64,13 +63,7 @@ func (f *multiFixture) startMulti(t *testing.T, mutate func(*Config)) (*Server, 
 // pinned to that variant.
 func (f *multiFixture) referenceFor(model string, u *speech.Utterance) ([][]float64, decoder.Result) {
 	spliced := speech.SpliceAll(u.Frames, f.topo.Context)
-	net := f.nets[model].Clone()
-	scores := make([][]float64, len(spliced))
-	for i, in := range spliced {
-		scores[i] = make([]float64, f.topo.Senones)
-		net.LogPosteriors(scores[i], in)
-	}
-	return spliced, f.dec.Decode(scores, decoder.Config{Beam: 15, AcousticScale: 1})
+	return spliced, f.dec.Decode(denseScores(f.nets[model], spliced), decoder.Config{Beam: 15, AcousticScale: 1})
 }
 
 // TestMultiModelBitIdentical is the per-plan scoring property test:

@@ -49,8 +49,8 @@ import (
 	"repro/internal/registry"
 )
 
-// Config assembles a Server. Decoder and either Registry or Net are
-// required; everything else has serving-grade defaults.
+// Config assembles a Server. Registry and Decoder are required;
+// everything else has serving-grade defaults.
 type Config struct {
 	// Registry holds the named model variants this server offers;
 	// sessions select one with the handshake's model field (empty =
@@ -58,17 +58,6 @@ type Config struct {
 	// while serving (registry.Variant.Swap / Reload): sessions in
 	// flight finish on the plan they pinned at admission.
 	Registry *registry.Registry
-	// Net is the legacy single-model configuration: when Registry is
-	// nil, Net is compiled under Backend and registered as the sole
-	// variant, named "default". The weights must not change for the
-	// server's lifetime (pass a Clone to keep mutating the original).
-	Net *dnn.Network
-	// Backend selects the scoring kernels compiled for Net (ignored
-	// when Registry is set): auto (default; BSR or CSR for pruned
-	// layers under the density threshold), dense, sparse, or bsr.
-	// Transcripts are bit-identical across the backends; only the
-	// forward-pass cost changes.
-	Backend dnn.Backend
 	// Decoder is the shared read-only search graph wrapper; any
 	// number of sessions decode against it concurrently. All variants
 	// share it, so every variant must produce the same senone set
@@ -94,18 +83,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() error {
-	if c.Registry == nil && c.Net == nil {
-		return errors.New("serve: Config needs Registry or Net")
+	if c.Registry == nil {
+		return errors.New("serve: Config.Registry is required")
 	}
 	if c.Decoder == nil {
 		return errors.New("serve: Config.Decoder is required")
-	}
-	if c.Registry == nil {
-		reg := registry.New()
-		if _, err := reg.Register("default", "", c.Net, c.Backend); err != nil {
-			return err
-		}
-		c.Registry = reg
 	}
 	if c.Registry.Len() == 0 {
 		return errors.New("serve: Config.Registry has no variants")

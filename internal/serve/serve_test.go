@@ -13,6 +13,7 @@ import (
 	"repro/internal/decoder"
 	"repro/internal/dnn"
 	"repro/internal/mat"
+	"repro/internal/registry"
 	"repro/internal/speech"
 	"repro/internal/wfst"
 )
@@ -56,7 +57,7 @@ func newFixture(t *testing.T) *testFixture {
 func (f *testFixture) start(t *testing.T, mutate func(*Config)) (*Server, string, func()) {
 	t.Helper()
 	cfg := Config{
-		Net:         f.net.Clone(),
+		Registry:    f.registry(t),
 		Decoder:     f.dec,
 		Decode:      decoder.Config{Beam: 15, AcousticScale: 1},
 		IdleTimeout: 5 * time.Second,
@@ -106,13 +107,30 @@ func decodeRemote(addr string, frames [][]float64, opts SessionOptions) (Reply, 
 // truth the served result must match bit for bit.
 func (f *testFixture) reference(u *speech.Utterance) ([][]float64, decoder.Result) {
 	spliced := speech.SpliceAll(u.Frames, f.topo.Context)
-	net := f.net.Clone()
+	return spliced, f.dec.Decode(denseScores(f.net, spliced), decoder.Config{Beam: 15, AcousticScale: 1})
+}
+
+// denseScores scores spliced frames on a dense plan of net: the
+// reference every served plan must match bit for bit.
+func denseScores(net *dnn.Network, spliced [][]float64) [][]float64 {
+	ex := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendDense}).NewExec()
 	scores := make([][]float64, len(spliced))
 	for i, in := range spliced {
-		scores[i] = make([]float64, f.topo.Senones)
-		net.LogPosteriors(scores[i], in)
+		scores[i] = make([]float64, net.OutDim())
+		ex.LogPosteriors(scores[i], in)
 	}
-	return spliced, f.dec.Decode(scores, decoder.Config{Beam: 15, AcousticScale: 1})
+	return scores
+}
+
+// registry returns a fresh registry serving the fixture network as its
+// sole variant, "default", on auto kernels.
+func (f *testFixture) registry(t testing.TB) *registry.Registry {
+	t.Helper()
+	reg := registry.New()
+	if _, err := reg.Register("default", "", f.net, dnn.BackendAuto); err != nil {
+		t.Fatal(err)
+	}
+	return reg
 }
 
 // TestServedTranscriptsBitIdentical is the core serving contract:

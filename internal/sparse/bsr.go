@@ -116,15 +116,6 @@ func (l *BSR) BlockCount() int { return len(l.BlockCols) }
 // actually stream.
 func (l *BSR) Stored() int { return len(l.Blocks) }
 
-// BlockDensity reports stored tiles divided by the full tile grid.
-func (l *BSR) BlockDensity() float64 {
-	total := l.BlockRows() * ((l.ColsDim + l.Block - 1) / l.Block)
-	if total == 0 {
-		return 0
-	}
-	return float64(l.BlockCount()) / float64(total)
-}
-
 // NNZ reports the number of nonzero weights inside the stored tiles.
 func (l *BSR) NNZ() int {
 	n := 0

@@ -19,7 +19,9 @@ import (
 
 	"repro/internal/asr"
 	"repro/internal/decoder"
+	"repro/internal/dnn"
 	"repro/internal/mat"
+	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/speech"
 	"repro/internal/wfst"
@@ -44,7 +46,7 @@ func TestServedDecodeBitIdenticalAcrossPaths(t *testing.T) {
 		batch  decoder.Result
 	}
 	refs := make([]ref, len(utts))
-	scorer := net.Clone()
+	scorer := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendDense}).NewExec()
 	for i, u := range utts {
 		spliced := speech.SpliceAll(u.Frames, scale.Context)
 		scores := make([][]float64, len(spliced))
@@ -75,10 +77,14 @@ func TestServedDecodeBitIdenticalAcrossPaths(t *testing.T) {
 
 	// Path (c): the streaming service. All utterances run concurrently,
 	// each on its own session goroutine and Exec.
+	reg := registry.New()
+	if _, err := reg.Register("default", "", net, dnn.BackendAuto); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := serve.New(serve.Config{
-		Net:     net.Clone(),
-		Decoder: dec,
-		Decode:  dcfg,
+		Registry: reg,
+		Decoder:  dec,
+		Decode:   dcfg,
 	})
 	if err != nil {
 		t.Fatal(err)
