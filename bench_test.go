@@ -422,15 +422,11 @@ func BenchmarkSessionPushFrameObs(b *testing.B) {
 	})
 }
 
-// ---- zero-allocation decode gate (ci.sh -> BENCH_decode.json) ------------
+// ---- pooled decode: per-level cost and the 1.5x floor --------------------
 
-// BenchmarkDecodeUtterance is the decode performance gate: one full
-// utterance per op through a pooled session (Restart + PushFrame loop
-// + Finish) at each pruning level, plus the heap-allocation reference
-// path at 90% pruning. ci.sh distills ns/op and allocs/op into
-// BENCH_decode.json and fails the build if heap/p90 over pooled/p90
-// falls below the 1.5x floor — the pooling work must stay a measured
-// win on the paper's worst-case (90%-pruned) workload.
+// BenchmarkDecodeUtterance measures one full utterance per op through
+// a pooled session (Restart + PushFrame loop + Finish) at each pruning
+// level.
 func BenchmarkDecodeUtterance(b *testing.B) {
 	sys := benchSystem(b)
 	for _, lv := range []int{0, 70, 90} {
@@ -458,30 +454,78 @@ func BenchmarkDecodeUtterance(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*len(scores)), "ns/frame")
 		})
 	}
-	b.Run("heap/p90", func(b *testing.B) {
-		scores := sys.Scores(90)[0]
-		cfg := decoder.Config{Beam: asr.DefaultBeam, AcousticScale: 1, HeapAlloc: true}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := sys.Decoder.Start(cfg)
-			for _, f := range scores {
-				if err := s.PushFrame(f); err != nil {
-					b.Fatal(err)
-				}
+}
+
+// floorPooledVsHeapP90 is the decode floor: the pooling work must stay
+// a measured win on the paper's worst-case (90%-pruned) workload.
+const floorPooledVsHeapP90 = 1.5
+
+// BenchmarkDecodeFloor gates the pooled decode path against the
+// heap-allocation reference (decoder.Config.HeapAlloc) on the first
+// 90%-pruned test utterance. One op is the whole gate, so run it with
+// -benchtime 1x: three rounds, each timing 30 utterances pooled and
+// then 30 on the heap path, and each series' minimum over the rounds.
+// That the warmed pooled path allocates nothing is pinned in the test
+// suite by decoder.TestPushFrameSteadyStateAllocs.
+func BenchmarkDecodeFloor(b *testing.B) {
+	const rounds, utterances = 3, 30
+	sys := benchSystem(b)
+	scores := sys.Scores(90)[0]
+	pooledCfg := decoder.Config{Beam: asr.DefaultBeam, AcousticScale: 1}
+	heapCfg := pooledCfg
+	heapCfg.HeapAlloc = true
+	decode := func(s *decoder.Session) {
+		for _, f := range scores {
+			if err := s.PushFrame(f); err != nil {
+				b.Fatal(err)
 			}
-			s.Finish()
 		}
-		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*len(scores)), "ns/frame")
-	})
+		s.Finish()
+	}
+	pooled := sys.Decoder.Start(pooledCfg)
+	decode(pooled) // warm arenas, maps, and store scratch
+	series := []struct {
+		name string
+		utt  func()
+		best time.Duration
+	}{
+		{name: "pooled/p90", utt: func() {
+			if err := pooled.Restart(pooledCfg); err != nil {
+				b.Fatal(err)
+			}
+			decode(pooled)
+		}},
+		{name: "heap/p90", utt: func() { decode(sys.Decoder.Start(heapCfg)) }},
+	}
+	b.ResetTimer()
+	for r := 0; r < rounds; r++ {
+		for i := range series {
+			t0 := time.Now()
+			for j := 0; j < utterances; j++ {
+				series[i].utt()
+			}
+			if d := time.Since(t0); r == 0 || d < series[i].best {
+				series[i].best = d
+			}
+		}
+	}
+	for _, s := range series {
+		b.Logf("%-10s %6.0f ns/frame (min of %d)", s.name,
+			float64(s.best.Nanoseconds())/float64(utterances*len(scores)), rounds)
+	}
+	speedup := float64(series[1].best) / float64(series[0].best)
+	b.ReportMetric(speedup, "pooled-vs-heap-p90")
+	if speedup < floorPooledVsHeapP90 {
+		b.Fatalf("pooled decode is %.2fx the heap path at p90, floor %.2fx", speedup, floorPooledVsHeapP90)
+	}
 }
 
 // BenchmarkSessionPushFrame measures the steady-state per-frame cost
 // of a warmed pooled session for both store designs; one op is one
-// PushFrame (the session restarts in place at utterance boundaries,
-// which is itself allocation-free). ci.sh fails the build if allocs/op
-// is nonzero — the tentpole contract that the Viterbi hot path never
-// touches the heap once warm.
+// PushFrame (the session restarts in place at utterance boundaries).
+// Its allocs/op column reads 0: the contract that the Viterbi hot path
+// never touches the heap once warm, pinned on both stores by
+// decoder.TestPushFrameSteadyStateAllocs.
 func BenchmarkSessionPushFrame(b *testing.B) {
 	sys := benchSystem(b)
 	scores := sys.Scores(90)[0]

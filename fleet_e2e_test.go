@@ -46,10 +46,10 @@ const fleetManifest = `{
 }
 `
 
-// fleet holds the binaries and models every repeat of
-// TestFleetProcesses shares, so -count=N builds and trains once;
-// TestMain removes dir.
-var fleet struct {
+// built holds the binaries and models that every repeat of the
+// process tests (TestFleetProcesses, TestDecodeBackendParity) shares,
+// so -count=N builds and trains once; TestMain removes dir.
+var built struct {
 	once sync.Once
 	dir  string
 	err  error
@@ -57,17 +57,40 @@ var fleet struct {
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if fleet.dir != "" {
-		os.RemoveAll(fleet.dir)
+	if built.dir != "" {
+		os.RemoveAll(built.dir)
 	}
 	os.Exit(code)
 }
 
-// buildFleet compiles asrserve and asrrouter into dir/bin, race-built
-// when this test binary is, and asrtrain, which trains the tiny models
-// into dir/models next to the manifest. asrtrain is never race-built:
-// it serves nothing, and the race detector slows training about 18×.
-func buildFleet(dir string) error {
+// buildOnce returns the directory holding bin/ and models/, building
+// and training into it on first use, and skips the calling test where
+// it cannot build.
+func buildOnce(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds binaries and runs them as child processes")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH to build the binaries with")
+	}
+	built.once.Do(func() {
+		if built.dir, built.err = os.MkdirTemp("", "e2e"); built.err == nil {
+			built.err = buildBinaries(built.dir)
+		}
+	})
+	if built.err != nil {
+		t.Fatal(built.err)
+	}
+	return built.dir
+}
+
+// buildBinaries compiles asrserve, asrrouter and asrdecode into
+// dir/bin, race-built when this test binary is, and asrtrain, which
+// trains the tiny models into dir/models next to the manifest.
+// asrtrain is never race-built: it serves nothing, and the race
+// detector slows training about 18×.
+func buildBinaries(dir string) error {
 	race := "false"
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -79,7 +102,7 @@ func buildFleet(dir string) error {
 	bin := filepath.Join(dir, "bin") + string(filepath.Separator)
 	models := filepath.Join(dir, "models")
 	for _, step := range [][]string{
-		{"go", "build", "-race=" + race, "-o", bin, "./cmd/asrserve", "./cmd/asrrouter"},
+		{"go", "build", "-race=" + race, "-o", bin, "./cmd/asrserve", "./cmd/asrrouter", "./cmd/asrdecode"},
 		{"go", "build", "-o", bin, "./cmd/asrtrain"},
 		{filepath.Join(bin, "asrtrain"), "-scale", "tiny", "-out", models},
 	} {
@@ -90,23 +113,16 @@ func buildFleet(dir string) error {
 	return os.WriteFile(filepath.Join(models, "manifest.json"), []byte(fleetManifest), 0o644)
 }
 
+// childEnv is the environment of every child process: a race-built
+// child otherwise sleeps a second before exiting.
+func childEnv() []string {
+	return append(os.Environ(), "GORACE="+os.Getenv("GORACE")+" atexit_sleep_ms=0")
+}
+
 func TestFleetProcesses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and starts server processes")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go tool on PATH to build the binaries with")
-	}
-	fleet.once.Do(func() {
-		if fleet.dir, fleet.err = os.MkdirTemp("", "fleet"); fleet.err == nil {
-			fleet.err = buildFleet(fleet.dir)
-		}
-	})
-	if fleet.err != nil {
-		t.Fatal(fleet.err)
-	}
-	bin := filepath.Join(fleet.dir, "bin")
-	manifest := filepath.Join(fleet.dir, "models", "manifest.json")
+	dir := buildOnce(t)
+	bin := filepath.Join(dir, "bin")
+	manifest := filepath.Join(dir, "models", "manifest.json")
 
 	scale := asr.ScaleTiny()
 	world, err := speech.NewWorld(scale.World)
@@ -221,8 +237,7 @@ func startProc(t *testing.T, bin string, args ...string) *proc {
 	}
 	defer out.Close() // the child keeps its own descriptor
 	p := &proc{name: filepath.Base(bin), cmd: exec.Command(bin, args...), out: out.Name(), exited: make(chan struct{})}
-	// A race-built child otherwise sleeps a second before exiting.
-	p.cmd.Env = append(os.Environ(), "GORACE="+os.Getenv("GORACE")+" atexit_sleep_ms=0")
+	p.cmd.Env = childEnv()
 	p.cmd.Stdout, p.cmd.Stderr = out, out
 	if err := p.cmd.Start(); err != nil {
 		t.Fatal(err)

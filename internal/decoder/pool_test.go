@@ -8,8 +8,8 @@ import (
 )
 
 // poolStores is the store matrix the pooling tests sweep: the UNFOLD
-// baseline and the paper's N-best table, both of which the
-// zero-allocation contract covers.
+// baseline, a small N-best table, and the paper's N-best geometry
+// (128 sets × 8 ways); the zero-allocation contract covers all three.
 func poolStores() []struct {
 	name  string
 	store StoreFactory
@@ -20,6 +20,7 @@ func poolStores() []struct {
 	}{
 		{"unbounded", nil},
 		{"setassoc", SetAssocStore(8, 4)},
+		{"setassoc-served", SetAssocStore(128, 8)},
 	}
 }
 
@@ -206,8 +207,8 @@ func TestPartialKeepsPooledDecodeIntact(t *testing.T) {
 // TestPushFrameSteadyStateAllocs is the allocation-regression gate:
 // after one warmup utterance, a full Restart + decode cycle on a
 // pooled session performs zero heap allocations, for both store
-// designs. (ci.sh enforces the same bound via the decode benchmark's
-// allocs/op column; this test keeps it in the plain test suite.)
+// designs and the 128×8 N-best geometry that
+// BenchmarkSessionPushFrame's "nbest" series runs.
 func TestPushFrameSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds checked without -race")

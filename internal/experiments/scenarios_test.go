@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/asr"
 )
 
 // TestScenarioMatrixShape pins the matrix layout: four stress
@@ -39,6 +42,35 @@ func TestScenarioMatrixShape(t *testing.T) {
 	}
 	if !noted {
 		t.Fatalf("missing the noisy-90 occupancy note: %v", tab.Notes)
+	}
+}
+
+// TestAdaptiveMatrixReproducible pins the adaptive determinism
+// contract of docs/ADAPTIVE.md across whole builds: the scenario
+// matrix rendered from the cached tiny System and from a second
+// System trained from scratch by asr.Build, not through the SystemFor
+// cache, must be byte-identical and must hold the paper's worst case,
+// the noisy 90%-pruned rows. The second build is what pins that
+// training is deterministic; docs/results-adaptive/ archives this
+// table.
+func TestAdaptiveMatrixReproducible(t *testing.T) {
+	fresh, err := asr.Build(asr.ScaleTiny(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(sys *asr.System) string {
+		tab, err := AdaptiveMatrix(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab.String()
+	}
+	cached := render(tinySys(t))
+	if got := render(fresh); got != cached {
+		t.Fatalf("the scenario matrix differs between two builds:\n--- cached\n%s--- fresh\n%s", cached, got)
+	}
+	if !regexp.MustCompile(`(?m)^noisy +90% `).MatchString(cached) {
+		t.Fatalf("the scenario matrix has no noisy 90%% rows:\n%s", cached)
 	}
 }
 

@@ -110,12 +110,13 @@ type Histogram struct {
 // NewHistogramIn registers (or returns the existing) histogram in r.
 // bounds must be ascending; they are copied.
 func NewHistogramIn(r *Registry, name, unit, help string, bounds []float64) *Histogram {
-	h := &Histogram{
-		meta:    meta{name: name, unit: unit, help: help, on: &r.enabled},
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
+	h := newHistogram(meta{name: name, unit: unit, help: help, on: &r.enabled}, append([]float64(nil), bounds...))
 	return register(r, h)
+}
+
+// newHistogram is an unregistered histogram over bounds, which it keeps.
+func newHistogram(m meta, bounds []float64) *Histogram {
+	return &Histogram{meta: m, bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // NewHistogram registers the histogram in the Default registry.

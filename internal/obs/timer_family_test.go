@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -37,17 +38,17 @@ func TestTimerFamilyRecordsPerChild(t *testing.T) {
 	s.Stop()
 	f.With("sparse").Start().Stop()
 
-	timers := f.Timers()
-	if n := timers["dense"].Histogram().Count(); n != 1 {
+	counts := f.Values()
+	if n := counts["dense"]; n != 1 {
 		t.Fatalf("dense child count = %d, want 1", n)
 	}
-	if n := timers["sparse"].Histogram().Count(); n != 1 {
+	if n := counts["sparse"]; n != 1 {
 		t.Fatalf("sparse child count = %d, want 1", n)
 	}
-	if f.Count() != 2 {
-		t.Fatalf("family Count() = %d, want 2", f.Count())
+	if f.Total() != 2 {
+		t.Fatalf("family Total() = %d, want 2", f.Total())
 	}
-	if got := timers["dense"].Histogram().Name(); got != "x.kernel_seconds{kernel=dense}" {
+	if got := d.Histogram().Name(); got != "x.kernel_seconds{kernel=dense}" {
 		t.Fatalf("child name = %q", got)
 	}
 }
@@ -56,8 +57,8 @@ func TestTimerFamilyDisabledDrops(t *testing.T) {
 	r := NewRegistry("tf")
 	f := NewTimerFamilyIn(r, "x.kernel_seconds", "kernel", "per-kernel time")
 	f.With("dense").Start().Stop()
-	if f.Count() != 0 {
-		t.Fatalf("disabled family recorded %d observations", f.Count())
+	if f.Total() != 0 {
+		t.Fatalf("disabled family recorded %d observations", f.Total())
 	}
 }
 
@@ -77,11 +78,11 @@ func TestTimerFamilyConcurrentWith(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if f.Count() != 800 {
-		t.Fatalf("family Count() = %d, want 800", f.Count())
+	if f.Total() != 800 {
+		t.Fatalf("family Total() = %d, want 800", f.Total())
 	}
-	if len(f.Timers()) != len(names) {
-		t.Fatalf("children = %d, want %d", len(f.Timers()), len(names))
+	if len(f.Values()) != len(names) {
+		t.Fatalf("children = %d, want %d", len(f.Values()), len(names))
 	}
 }
 
@@ -90,10 +91,16 @@ func TestTimerFamilySnapshotAndText(t *testing.T) {
 	r.SetEnabled(true)
 	f := NewTimerFamilyIn(r, "x.kernel_seconds", "kernel", "per-kernel time")
 	f.With("bsr").Start().Stop()
+	c := NewCounterFamilyIn(r, "x.model_frames", "frames", "model", "per-model frames")
+	c.With("beta").Add(7)
+	c.With("alpha").Inc()
 
 	snap := f.snapshot()
-	if snap["type"] != "timer_family" || snap["label"] != "kernel" {
+	if snap["type"] != "timer_family" || snap["label"] != "kernel" || snap["count"] != int64(1) {
 		t.Fatalf("snapshot = %v", snap)
+	}
+	if cs := c.snapshot(); cs["type"] != "counter_family" || cs["total"] != int64(8) {
+		t.Fatalf("counter family snapshot = %v", cs)
 	}
 	values, ok := snap["values"].(map[string]any)
 	if !ok || values["bsr"] == nil {
@@ -106,5 +113,8 @@ func TestTimerFamilySnapshotAndText(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "timer_family") || !strings.Contains(sb.String(), "bsr{n=1") {
 		t.Fatalf("WriteText missing timer_family line:\n%s", sb.String())
+	}
+	if !regexp.MustCompile(`x\.model_frames +family +8 +frames +alpha=1 beta=7\n`).MatchString(sb.String()) {
+		t.Fatalf("WriteText missing the counter family line:\n%s", sb.String())
 	}
 }

@@ -40,6 +40,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
+// familyText is a Family's text readout.
+type familyText interface {
+	textLine() (typ, value, detail string)
+}
+
 // WriteText writes an aligned human-readable summary: one line per
 // metric, with per-second rates for counters (uptime as denominator)
 // and count/mean/p50/p99 for histograms. This is the -v readout of
@@ -62,27 +67,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 		case *Histogram:
 			fmt.Fprintf(tw, "%s\thistogram\tn=%d\t%s\tmean=%.4g p50<=%.4g p99<=%.4g\n",
 				v.Name(), v.Count(), v.Unit(), v.Mean(), v.Quantile(0.5), v.Quantile(0.99))
-		case *CounterFamily:
-			detail := ""
-			values := v.Values()
-			for _, k := range v.sortedValues() {
-				if detail != "" {
-					detail += " "
-				}
-				detail += fmt.Sprintf("%s=%d", k, values[k])
-			}
-			fmt.Fprintf(tw, "%s\tfamily\t%d\t%s\t%s\n", v.Name(), v.Total(), v.Unit(), detail)
-		case *TimerFamily:
-			detail := ""
-			timers := v.Timers()
-			for _, k := range v.sortedKeys() {
-				if detail != "" {
-					detail += " "
-				}
-				h := timers[k].Histogram()
-				detail += fmt.Sprintf("%s{n=%d p99<=%.4g}", k, h.Count(), h.Quantile(0.99))
-			}
-			fmt.Fprintf(tw, "%s\ttimer_family\tn=%d\t%s\t%s\n", v.Name(), v.Count(), v.Unit(), detail)
+		case familyText:
+			typ, value, detail := v.textLine()
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", m.Name(), typ, value, m.Unit(), detail)
 		default:
 			fmt.Fprintf(tw, "%s\t?\t\t%s\t\n", m.Name(), m.Unit())
 		}
