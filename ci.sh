@@ -14,10 +14,10 @@ fi
 
 go vet ./...
 
-# The dense panel and 8×8 BSR kernels have AVX bodies in amd64
-# assembly (asmdecl checks them in the vet above) and portable Go
-# bodies everywhere else: vet the packages for arm64 too, and build the
-# whole tree there, so the portable build stays checked.
+# The dense panel, SELL-4 sparse and 8×8 BSR kernels have AVX bodies
+# in amd64 assembly (asmdecl checks them in the vet above) and portable
+# Go bodies everywhere else: vet the packages for arm64 too, and build
+# the whole tree there, so the portable build stays checked.
 GOARCH=arm64 go vet ./internal/mat ./internal/sparse ./internal/dnn
 GOARCH=arm64 go build ./...
 

@@ -9,16 +9,16 @@ import (
 )
 
 // useAVX is mat's unexported choice of kernel body, set at init from
-// CPUID; the dense panels read it directly and the BSR kernel through
-// mat.HasAVX. FuzzKernels clears it around the portable columns so
-// they score the dense and bsr plans through the portable Go bodies;
-// off AVX hosts it is already false and the columns repeat the others.
+// CPUID; the dense panels read it directly and the sparse and BSR
+// kernels through mat.HasAVX. FuzzKernels clears it around the
+// portable columns so they score the dense, sparse and bsr plans
+// through the portable Go bodies; off AVX hosts it is already false and
+// the columns repeat the others.
 //
 //go:linkname useAVX repro/internal/mat.useAVX
 var useAVX bool
 
-// portable runs f with the dense and bsr kernels on their portable
-// bodies.
+// portable runs f with every float kernel on its portable body.
 func portable(f func()) {
 	saved := useAVX
 	defer func() { useAVX = saved }()
@@ -28,11 +28,11 @@ func portable(f func()) {
 
 // FuzzKernels is the differential test of the float kernels: a random
 // two-FC stack (every shape from 1 to 40 rows and 1 to 80 inputs, so
-// every ragged last panel of the dense matvec and every ragged BSR
-// edge tile is reachable), pruned by a random unstructured, 4×4-block
-// or 8×8-block mask, must score bit-identically under the dense and
-// bsr plans (each on its AVX and its portable body) and the sparse
-// plan.
+// every ragged last panel of the dense matvec, every ragged BSR edge
+// tile and every ragged last SELL group is reachable), pruned by a
+// random unstructured, 4×4-block or 8×8-block mask, must score
+// bit-identically under the dense, sparse and bsr plans, each on its
+// AVX and its portable body.
 func FuzzKernels(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		f.Add(int64(i), uint8(7*i+3), uint8(i), uint8(9*i+1), uint8(i), uint8(32*i))
@@ -73,6 +73,7 @@ func FuzzKernels(f *testing.F) {
 			}
 			portable(func() {
 				compare("dense on the portable panel body", execs[0])
+				compare("sparse on the portable body", execs[1])
 				compare("bsr on the portable body", execs[2])
 			})
 		}

@@ -7,7 +7,7 @@ import (
 
 // Kernel is one compiled per-layer compute implementation behind a
 // Plan. The kernel owns the layer's immutable weights in whatever
-// layout it wants (dense panels, CSR, BSR tiles) and keeps no per-call
+// layout it wants (dense panels, SELL-4 rows, BSR tiles) and keeps no per-call
 // state, so one kernel instance is shared read-only by every Exec over
 // the plan, exactly like the Plan itself.
 //
@@ -36,7 +36,7 @@ func (k layerKernel) MatVec(dst, in []float64) {
 
 // denseKernel is the float dense matvec over the layer's weights
 // packed into 16-row panels (mat.Panels), plus a copy of the bias. The
-// panels are a snapshot, like the CSR and BSR layouts: the kernel never
+// panels are a snapshot, like the SELL and BSR layouts: the kernel never
 // reads the FC layer again. Each output row still sums its columns in
 // ascending order with separately rounded multiplies and adds, whether
 // the panel body is AVX or portable Go, which is the order the sparse
@@ -58,22 +58,27 @@ func (k denseKernel) MatVec(dst, in []float64) {
 	}
 }
 
-// csrKernel is the float CSR sparse kernel. Its ascending-column
-// accumulation makes it bit-identical to the dense sum (pinned by
-// sparse package tests), so dense/sparse selection is invisible to
-// decode results.
-type csrKernel struct{ csr *sparse.Layer }
+// csrKernel is the float unstructured-sparse kernel. It keeps the
+// layer's CSR rows in one layout, SELL-4 (sparse.SELL): rows sorted by
+// nonzero count and packed four to a group, so each step of a group is
+// one YMM multiply and add over four rows' gathered inputs on AVX
+// machines, and four accumulators in portable Go elsewhere. Every row
+// still sums its nonzeros in ascending column order with separately
+// rounded multiplies and adds and the bias last, so it is bit-identical
+// to the dense sum (pinned by sparse package tests) and dense/sparse
+// selection is invisible to decode results.
+type csrKernel struct{ sell *sparse.SELL }
 
 func (k csrKernel) Name() string { return "sparse" }
 func (k csrKernel) MatVec(dst, in []float64) {
-	k.csr.MatVec(dst, in)
+	k.sell.MatVec(dst, in)
 }
 
 // bsrKernel is the float block-sparse kernel: dense b×b micro-tiles,
 // stored column-major, over the BSR view built from a block-pruned
 // layer. For b = 8 on AVX machines each tile column is one broadcast
 // input feeding two YMM registers; elsewhere straight-line portable Go
-// runs over the same layout. Like the CSR kernel it accumulates every
+// runs over the same layout. Like the sparse kernel it accumulates every
 // row in the dense column order (ascending tiles, ascending columns
 // within a tile, no FMA, bias last), so it is bit-identical to dense
 // — but it pays one index per tile instead of one per nonzero, which

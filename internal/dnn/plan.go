@@ -126,7 +126,7 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 				}
 				pl.kern = bsrKernel{sparse.FromDenseBSR(fc.W, fc.B, block)}
 			case wantCSR:
-				pl.kern = csrKernel{sparse.FromDense(fc.W, fc.B)}
+				pl.kern = csrKernel{sparse.FromDenseSELL(fc.W, fc.B)}
 			default:
 				pl.kern = newDenseKernel(fc)
 			}

@@ -59,16 +59,18 @@ func benchBlockNet(target float64) *dnn.Network {
 }
 
 // BenchmarkForward measures one single-frame forward pass per
-// backend and pruning level. At p90 the sparse CSR kernel touches ~10%
-// of the weights the dense panels stream, but pay an index load and a
-// gathered input read per weight, against dense's one contiguous pass
-// over its 16-row panels — hence ~3x, not 10x; at p0 sparse
-// degenerates to dense work plus indirection, which is why auto only
-// flips below the density threshold. The bsr series runs on the
-// block-pruned stack at the same global sparsity — the apples-to-apples
-// layout comparison of docs/BLOCK.md — and its acceptance bar is
-// >= 1.15x over CSR at p90 (one index per 64-weight tile instead of
-// one per weight, 8×8 tiles on the vector unit). At p0 bsr stores
+// backend and pruning level. At p90 the sparse kernel touches ~10% of
+// the weights the dense panels stream. Its SELL-4 groups put four
+// rows' nonzeros in one YMM step, but each step still loads four
+// column indices and gathers four inputs with scalar loads, against
+// dense's one contiguous pass over its 16-row panels — hence ~5-6x,
+// not 10x; at p0 sparse degenerates to dense work plus indirection,
+// which is why auto only flips below the density threshold. The bsr
+// series runs on the block-pruned stack at the same global sparsity —
+// the apples-to-apples layout comparison of docs/BLOCK.md — and its
+// acceptance bar is >= 1.15x over sparse at p90 (one index per
+// 64-weight tile instead of one per weight, and each tile's inputs
+// consecutive rather than gathered). At p0 bsr stores
 // every tile and skips nothing, so it must not beat dense there: both
 // run AVX, but the dense panels score two panels per pass, two weight
 // streams sharing each input load, while bsr walks one block row's
@@ -100,9 +102,10 @@ func BenchmarkForward(b *testing.B) {
 	}
 }
 
-// The forward floors. The sparse floor is the ratio measured against
-// the row-blocked dense kernel over ten runs (lower quartile 2.82x,
-// median 2.95x) divided by 1.5 and rounded down. The p0 floor pins
+// The forward floors. The sparse floor is the ratio the scalar CSR
+// body measured against the row-blocked dense kernel over ten runs
+// (lower quartile 2.82x, median 2.95x) divided by 1.5 and rounded
+// down; the SELL-4 body reads 5.0-6.4x against it. The p0 floor pins
 // the dense kernel's lead: dense lost to bsr at p0 while each dense
 // row was one serial add chain, and with bsr on AVX tiles it holds
 // because the dense panels read two weight streams per pass.

@@ -214,14 +214,22 @@ func TestHandlerServesMetricsAndText(t *testing.T) {
 	}
 }
 
+// TestPackageLevelStart checks that one Start/Stop adds exactly one
+// sample. The span's histogram lives in Default for the whole test
+// binary, so under -count > 1 it already holds the earlier runs'
+// samples; the test compares counts before and after.
 func TestPackageLevelStart(t *testing.T) {
 	Enable()
 	defer Disable()
+	var before int64
+	if h, ok := Default.Get("obs_test.span").(*Histogram); ok {
+		before = h.Count()
+	}
 	sp := Start("obs_test.span")
 	sp.Stop()
 	tm, ok := Default.Get("obs_test.span").(*Histogram)
-	if !ok || tm.Count() != 1 {
-		t.Fatalf("package-level Start did not record (metric=%v)", Default.Get("obs_test.span"))
+	if !ok || tm.Count() != before+1 {
+		t.Fatalf("package-level Start did not add one sample to %d (metric=%v)", before, Default.Get("obs_test.span"))
 	}
 }
 

@@ -204,19 +204,20 @@ func TestUnknownModelRejectPropagation(t *testing.T) {
 // through in rank order.
 func TestFailover(t *testing.T) {
 	live := newFakeBackend(t, serve.Reply{Event: serve.EventReady})
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close() // nothing listens here anymore
-
+	deadAddr := refusingAddr(t)
 	rt, addr := startRouter(t, Config{Backends: []string{live.addr(), deadAddr}})
 
-	// Whatever the hash prefers, every session must succeed via the
-	// live backend.
-	for i := 0; i < 8; i++ {
-		cs, err := serve.Dial(addr, serve.SessionOptions{ID: fmt.Sprintf("f%d", i)})
+	// Only sessions whose rendezvous order puts the dead backend first
+	// make the router dial it and fail over; take eight of them.
+	var ids []string
+	for i := 0; len(ids) < 8; i++ {
+		id := fmt.Sprintf("f%d", i)
+		if rt.rank(id)[0].addr == deadAddr {
+			ids = append(ids, id)
+		}
+	}
+	for i, id := range ids {
+		cs, err := serve.Dial(addr, serve.SessionOptions{ID: id})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -237,20 +238,40 @@ func TestFailover(t *testing.T) {
 	}
 }
 
+// refusingAddr returns a loopback address that refuses connections
+// until the test ends. Its port is the local end of a connected
+// client socket: nothing listens on it, and the socket holds the port
+// so no listener opened later can take it.
+func refusingAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := ln.Accept()
+	if err != nil {
+		client.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	return client.LocalAddr().String()
+}
+
 // TestNoReachableBackend pins the router-originated reject: when every
 // backend is down the client gets an explicit reject with the router's
 // own retry-after hint, not a hang or connection reset.
 func TestNoReachableBackend(t *testing.T) {
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
+	_, addr := startRouter(t, Config{Backends: []string{refusingAddr(t)}, RetryAfter: 250 * time.Millisecond})
 
-	_, addr := startRouter(t, Config{Backends: []string{deadAddr}, RetryAfter: 250 * time.Millisecond})
-
-	_, err = serve.Dial(addr, serve.SessionOptions{ID: "s"})
+	_, err := serve.Dial(addr, serve.SessionOptions{ID: "s"})
 	var rej *serve.RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("got %v, want RejectedError", err)

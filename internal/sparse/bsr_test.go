@@ -10,15 +10,15 @@ import (
 )
 
 // useAVX is mat's unexported choice of kernel body, set at init from
-// CPUID; BSR.MatVec reads it through mat.HasAVX. bsrBodies flips it to
-// run the BSR kernel on each body.
+// CPUID; BSR.MatVec and SELL.MatVec read it through mat.HasAVX. bodies
+// flips it to run a kernel on each body.
 //
 //go:linkname useAVX repro/internal/mat.useAVX
 var useAVX bool
 
-// bsrBodies runs f once per BSR body this machine can execute: the
+// bodies runs f once per kernel body this machine can execute: the
 // portable Go bodies always, the AVX body where the CPU has it.
-func bsrBodies(f func(body string)) {
+func bodies(f func(body string)) {
 	saved := useAVX
 	defer func() { useAVX = saved }()
 	useAVX = false
@@ -82,7 +82,7 @@ func TestBSRRoundTrip(t *testing.T) {
 
 // TestBSRMatVecBitIdenticalToDense is the kernel's core contract: on a
 // block-pruned matrix the BSR accumulation visits exactly the dense
-// column order, so outputs match dense (and therefore CSR, which has
+// column order, so outputs match dense (and therefore SELL, which has
 // the same contract) to the last bit.
 func TestBSRMatVecBitIdenticalToDense(t *testing.T) {
 	for _, block := range []int{4, 8, 3} {
@@ -101,11 +101,11 @@ func TestBSRMatVecBitIdenticalToDense(t *testing.T) {
 			for i := range dense {
 				dense[i] += bias[i]
 			}
-			csr := make([]float64, rows)
-			FromDense(m, bias).MatVec(csr, x)
+			sell := make([]float64, rows)
+			FromDenseSELL(m, bias).MatVec(sell, x)
 			bsr := make([]float64, rows)
 			FromDenseBSR(m, bias, block).MatVec(bsr, x)
-			return bitsEq(dense, bsr) && bitsEq(csr, bsr)
+			return bitsEq(dense, bsr) && bitsEq(sell, bsr)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 			t.Fatalf("block=%d: %v", block, err)
@@ -170,7 +170,7 @@ func TestBSRBodiesMatchMatVec(t *testing.T) {
 				}
 				l := FromDenseBSR(m, bias, block)
 				got := make([]float64, rows)
-				bsrBodies(func(body string) {
+				bodies(func(body string) {
 					mat.Fill(got, math.NaN())
 					l.MatVec(got, x)
 					for i := range want {
@@ -195,7 +195,7 @@ func BenchmarkBSRMatVec(b *testing.B) {
 	x := make([]float64, l.ColsDim)
 	rng.FillNorm(x, 0, 1)
 	dst := make([]float64, l.Rows)
-	bsrBodies(func(body string) {
+	bodies(func(body string) {
 		b.Run(body, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				l.MatVec(dst, x)

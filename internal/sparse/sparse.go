@@ -2,22 +2,21 @@
 // fully-connected layer as the DNN accelerator sees it: per-neuron runs
 // of (weight, input-index) pairs, the format whose index-driven input
 // gather causes the I/O-buffer bank conflicts analyzed in Section III-D
-// of the paper.
+// of the paper. Layer is that storage model; it has no compute method.
 //
-// Beyond the storage model, the package carries the real compute
-// kernel (MatVec) that internal/dnn's compiled inference plans
-// execute for pruned layers: each output neuron's nonzeros are
-// accumulated in ascending column order — the same order the dense sum
-// visits them — so skipping the exact zeros a pruning mask leaves
-// behind never perturbs the floating-point accumulation and the sparse
-// result is bit-identical to the dense one.
+// The package also carries the real compute layouts that internal/dnn's
+// compiled inference plans execute for pruned layers: SELL for
+// unstructured sparsity, the CSR rows sorted by length and packed four
+// to a YMM group, and BSR for block sparsity. Each accumulates an output
+// neuron's nonzeros in ascending column order, the same order the dense
+// sum visits them, with separately rounded multiplies and adds and the
+// bias last, so skipping the exact zeros a pruning mask leaves behind
+// never perturbs the floating-point accumulation and the sparse result
+// is bit-identical to the dense one, on the AVX and the portable
+// bodies alike.
 package sparse
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // Layer is a CSR-like sparse view of an out×in weight matrix.
 // Row r's nonzeros are Weights[RowPtr[r]:RowPtr[r+1]] with column
@@ -88,25 +87,6 @@ func (l *Layer) RowNNZ(r int) int { return int(l.RowPtr[r+1] - l.RowPtr[r]) }
 func (l *Layer) Row(r int) (weights []float64, cols []int32) {
 	lo, hi := l.RowPtr[r], l.RowPtr[r+1]
 	return l.Weights[lo:hi], l.Cols[lo:hi]
-}
-
-// MatVec computes dst = L·x (+ bias when present).
-func (l *Layer) MatVec(dst, x []float64) {
-	if len(x) != l.ColsDim || len(dst) != l.Rows {
-		panic(fmt.Sprintf("sparse: MatVec dimension mismatch: layer %dx%d, x %d, dst %d",
-			l.Rows, l.ColsDim, len(x), len(dst)))
-	}
-	for r := 0; r < l.Rows; r++ {
-		var s float64
-		lo, hi := l.RowPtr[r], l.RowPtr[r+1]
-		for k := lo; k < hi; k++ {
-			s += l.Weights[k] * x[l.Cols[k]]
-		}
-		if l.Bias != nil {
-			s += l.Bias[r]
-		}
-		dst[r] = s
-	}
 }
 
 // ToDense reconstructs the dense matrix (for tests and round-trips).

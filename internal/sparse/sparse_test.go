@@ -35,6 +35,9 @@ func TestFromDenseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSparseMatVecMatchesDense runs random unstructured-sparse layers
+// through the SELL kernel, the compute layout of a CSR layer, and
+// compares every output bit for bit with the dense sum plus the bias.
 func TestSparseMatVecMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := mat.NewRNG(seed)
@@ -42,7 +45,7 @@ func TestSparseMatVecMatchesDense(t *testing.T) {
 		m := randomSparseMatrix(rng, rows, cols, 0.4)
 		bias := make([]float64, rows)
 		rng.FillNorm(bias, 0, 1)
-		l := FromDense(m, bias)
+		l := FromDenseSELL(m, bias)
 
 		x := make([]float64, cols)
 		rng.FillNorm(x, 0, 1)
@@ -53,12 +56,7 @@ func TestSparseMatVecMatchesDense(t *testing.T) {
 		}
 		sp := make([]float64, rows)
 		l.MatVec(sp, x)
-		for i := range dense {
-			if d := dense[i] - sp[i]; d > 1e-12 || d < -1e-12 {
-				return false
-			}
-		}
-		return true
+		return bitsEq(dense, sp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -95,7 +93,7 @@ func TestStorageBits(t *testing.T) {
 }
 
 func TestMatVecPanicsOnMismatch(t *testing.T) {
-	l := FromDense(mat.NewMatrix(2, 3), nil)
+	l := FromDenseSELL(mat.NewMatrix(2, 3), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("expected panic")
