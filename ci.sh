@@ -14,10 +14,11 @@ fi
 
 go vet ./...
 
-# The dense panel, SELL-4 sparse and 8×8 BSR kernels have AVX bodies
-# in amd64 assembly (asmdecl checks them in the vet above) and portable
-# Go bodies everywhere else: vet the packages for arm64 too, and build
-# the whole tree there, so the portable build stays checked.
+# The dense panel, SELL-4 sparse and 8×8 BSR kernels, the p-norm and
+# renorm's scaling pass have AVX bodies in amd64 assembly (asmdecl
+# checks them in the vet above) and portable Go bodies everywhere
+# else: vet the packages for arm64 too, and build the whole tree
+# there, so the portable build stays checked.
 GOARCH=arm64 go vet ./internal/mat ./internal/sparse ./internal/dnn
 GOARCH=arm64 go build ./...
 
@@ -47,9 +48,10 @@ go test -race -count=20 -shuffle=on ./internal/serve ./internal/router .
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 15s ./internal/serve
 
 # Kernel fuzz leg: a bounded run of FuzzKernels, the differential
-# dense == sparse == bsr check on random shapes and masks. It is the
-# float kernels' one bit-identity check beyond the fixed-shape plan
-# tests; the test run above only replays its seed corpus.
+# dense == sparse == bsr check on random shapes and masks, and on
+# random FC → p-norm → renorm → FC stacks against the scalar loops. It
+# is the float kernels' one bit-identity check beyond the fixed-shape
+# plan tests; the test run above only replays its seed corpus.
 go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime 15s ./internal/dnn
 
 # Model-file fuzz leg: a bounded run of FuzzLoad. A model file is
@@ -60,8 +62,9 @@ go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 15s ./internal/dnn
 
 # Kernel and decode floors, each the per-series minimum of three
 # interleaved rounds: sparse >= 1.8x dense and bsr >= 1.15x sparse at
-# p90 and dense no slower than bsr at p0 on the 4.5M-weight FC stack
-# (BenchmarkForwardFloors), and the pooled decode path >= 1.5x the
-# heap-allocation reference at p90 (BenchmarkDecodeFloor).
+# p90 and dense no slower than bsr at p0 on the 4.5M-weight FC stack,
+# and the AVX p-norm >= 2x the scalar loop on the served 400→80
+# shape (BenchmarkForwardFloors), and the pooled decode path >= 1.5x
+# the heap-allocation reference at p90 (BenchmarkDecodeFloor).
 go test -run '^$' -bench '^Benchmark(ForwardFloors|DecodeFloor)$' -benchtime 1x \
 	./internal/dnn .

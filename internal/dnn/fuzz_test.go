@@ -1,6 +1,7 @@
 package dnn_test
 
 import (
+	"math"
 	"testing"
 	_ "unsafe" // for go:linkname
 
@@ -32,12 +33,15 @@ func portable(f func()) {
 // tile and every ragged last SELL group is reachable), pruned by a
 // random unstructured, 4×4-block or 8×8-block mask, must score
 // bit-identically under the dense, sparse and bsr plans, each on its
-// AVX and its portable body.
+// AVX and its portable body. Its non-FC column does the same for a
+// random FC → p-norm → renorm → FC stack (groups of 1 to 8, 1 to 40
+// pooled outputs, so every leftover of the four-group p-norm pass),
+// checked against the scalar loops of scalarForward.
 func FuzzKernels(f *testing.F) {
 	for i := 0; i < 8; i++ {
-		f.Add(int64(i), uint8(7*i+3), uint8(i), uint8(9*i+1), uint8(i), uint8(32*i))
+		f.Add(int64(i), uint8(7*i+3), uint8(i), uint8(9*i+1), uint8(i), uint8(32*i), uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, in, hidden, out, maskKind, keep uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, in, hidden, out, maskKind, keep, group uint8) {
 		rng := mat.NewRNG(seed)
 		fc1 := dnn.NewFC("fc1", 1+int(in)%80, 1+int(hidden)%40, 0.5, rng)
 		fc2 := dnn.NewFC("fc2", fc1.OutDim(), 1+int(out)%40, 0.5, rng)
@@ -77,7 +81,77 @@ func FuzzKernels(f *testing.F) {
 				compare("bsr on the portable body", execs[2])
 			})
 		}
+
+		g := 1 + int(group)%8
+		fcA := dnn.NewFC("fcA", 1+int(in)%80, (1+int(hidden)%40)*g, 0.5, rng)
+		fcB := dnn.NewFC("fcB", fcA.OutDim()/g, 1+int(out)%40, 0.5, rng)
+		for _, fc := range []*dnn.FC{fcA, fcB} {
+			rng.FillNorm(fc.B, 0, 0.1)
+			pruneRandomly(fc, rng, int(maskKind)%4, float64(keep)/255)
+		}
+		pooled := dnn.NewNetwork(fcA, dnn.NewPNorm("P", fcA.OutDim(), g), dnn.NewRenorm("N", fcB.InDim()), fcB)
+		x = make([]float64, pooled.InDim())
+		rng.FillNorm(x, 0, 2)
+		wantLogits, want := scalarForward(pooled, x)
+		got = make([]float64, pooled.OutDim())
+		for _, b := range backends {
+			e := dnn.Compile(pooled, dnn.PlanConfig{Backend: b}).NewExec()
+			check := func(body string) {
+				if !bitsEqual(wantLogits, e.Logits(x)) {
+					t.Fatalf("group %d: %s logits on the %s bodies differ from the scalar loops", g, b, body)
+				}
+				e.LogPosteriors(got, x)
+				if !bitsEqual(want, got) {
+					t.Fatalf("group %d: %s log-posteriors on the %s bodies differ from the scalar loops", g, b, body)
+				}
+			}
+			check("AVX")
+			portable(func() { check("portable") })
+		}
 	})
+}
+
+// scalarForward is the oracle of FuzzKernels' non-FC column: the
+// network's logits and log-posteriors for x from the scalar loops the
+// vector bodies replaced — one add chain per FC row and bias last, the
+// p-norm's per-group chain and math.Sqrt, renorm's c*v, then
+// mat.LogSoftmax, which has one body. The epsilons are dnn's pnormEps
+// and renormEps.
+func scalarForward(net *dnn.Network, x []float64) (logits, logPost []float64) {
+	const eps = 1e-20
+	for _, l := range net.Layers {
+		y := make([]float64, l.OutDim())
+		switch l := l.(type) {
+		case *dnn.FC:
+			for r := range y {
+				y[r] = mat.Dot(l.W.Row(r), x) + l.B[r]
+			}
+		case *dnn.PNorm:
+			for j := range y {
+				var s float64
+				for k := 0; k < l.Group; k++ {
+					v := x[j*l.Group+k]
+					s += v * v
+				}
+				y[j] = math.Sqrt(s + eps)
+			}
+		case *dnn.Renorm:
+			var s float64
+			for _, v := range x {
+				s += v * v
+			}
+			c := math.Sqrt(float64(l.Dim) / (s + eps))
+			for i, v := range x {
+				y[i] = c * v
+			}
+		default:
+			panic("scalarForward: unexpected layer")
+		}
+		x = y
+	}
+	logPost = make([]float64, len(x))
+	mat.LogSoftmax(logPost, x)
+	return x, logPost
 }
 
 // pruneRandomly installs a random mask keeping each weight (kind 1) or

@@ -34,28 +34,18 @@ func (k layerKernel) MatVec(dst, in []float64) {
 	k.l.Forward(dst, in)
 }
 
-// denseKernel is the float dense matvec over the layer's weights
-// packed into 16-row panels (mat.Panels), plus a copy of the bias. The
-// panels are a snapshot, like the SELL and BSR layouts: the kernel never
-// reads the FC layer again. Each output row still sums its columns in
-// ascending order with separately rounded multiplies and adds, whether
-// the panel body is AVX or portable Go, which is the order the sparse
-// and bsr kernels reproduce.
-type denseKernel struct {
-	w *mat.Panels
-	b []float64
-}
-
-func newDenseKernel(fc *FC) denseKernel {
-	return denseKernel{w: mat.NewPanels(fc.W), b: append([]float64(nil), fc.B...)}
-}
+// denseKernel is the float dense matvec over the layer's weights and
+// bias packed into 16-row panels (mat.Panels). The panels are a
+// snapshot, like the SELL and BSR layouts: the kernel never reads the
+// FC layer again. Each output row still sums its columns in ascending
+// order with separately rounded multiplies and adds and the bias last,
+// added before the store, whether the panel body is AVX or portable
+// Go, which is the order the sparse and bsr kernels reproduce.
+type denseKernel struct{ w *mat.Panels }
 
 func (k denseKernel) Name() string { return "dense" }
 func (k denseKernel) MatVec(dst, in []float64) {
 	k.w.MatVec(dst, in)
-	for i, b := range k.b {
-		dst[i] += b
-	}
 }
 
 // csrKernel is the float unstructured-sparse kernel. It keeps the

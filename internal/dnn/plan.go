@@ -13,11 +13,11 @@ import (
 type Backend string
 
 const (
-	// BackendAuto picks per FC layer: below the plan's density
-	// threshold, the BSR block-sparse kernel when the layer carries
-	// block-pruning metadata (FC.BlockSize > 0) and the CSR sparse
-	// kernel otherwise; the dense matvec above the threshold. All three
-	// are bit-identical, so the choice is invisible to decode results.
+	// BackendAuto picks per FC layer: the BSR block-sparse kernel for
+	// a layer block-pruned in 8×8 tiles (FC.BlockSize == 8) at or below
+	// BSRDensityThreshold, the CSR sparse kernel for any other layer at
+	// or below DefaultDensityThreshold, and the dense matvec otherwise. All three are bit-identical, so the choice is
+	// invisible to decode results.
 	BackendAuto Backend = "auto"
 	// BackendDense forces the dense matvec for every FC layer.
 	BackendDense Backend = "dense"
@@ -47,12 +47,31 @@ func ParseBackend(s string) (Backend, error) {
 const DefaultBSRBlock = 8
 
 // DefaultDensityThreshold is the weight density at or below which
-// BackendAuto selects a sparse kernel. CSR pays an index load and a
-// gathered input read per nonzero, so it only wins once enough of the
-// dense row is skippable; ~1/3 density is comfortably past breakeven
-// on every machine this was measured on, while the paper's 70/80/90%
-// pruning levels sit far below it.
-const DefaultDensityThreshold = 1.0 / 3
+// BackendAuto selects the CSR kernel, and BSRDensityThreshold the one
+// at or below which it selects BSR for a layer block-pruned in 8×8
+// tiles, the one tile size whose BSR body is AVX assembly
+// (sparse.BSR.MatVec). Each sits where that kernel stops beating the
+// dense panels on a served hidden layer (80 inputs, 400 outputs;
+// BenchmarkDensityCrossover, minimum of 5 runs, 2-vCPU AVX host):
+//
+//	density      10 %  15 %  20 %  25 %  30 %  40 %  60 %  80 %  90 %
+//	dense (µs)   4.71  4.08  3.62  4.08  4.34  3.97  3.59  3.86  3.80
+//	sparse (µs)  2.15  2.86  3.33  4.15  5.25  6.52  10.2  14.2  16.6
+//	bsr 8×8 (µs) 0.38  0.50  0.90  1.34  1.54  1.77  2.22  3.61  4.22
+//	bsr 4×4 (µs) 3.64  4.82  5.20  7.10  8.04  9.71  15.1  19.1  26.2
+//
+// The dense time does not depend on density; its spread is the host's.
+// SELL-4 pays an index load and a gathered input per nonzero and
+// crosses the dense time between 20 and 25 %. 8×8 BSR pays one index
+// per tile and reads its inputs in runs, so it leads to about 80 % and
+// loses at 90 %. 4×4 BSR runs portable Go: it crosses the dense time
+// near 12 % and is slower than SELL-4 at every density here, so a
+// layer block-pruned in any tile but 8×8 takes the CSR rule. The
+// paper's 70/80/90 % pruning levels put the served layers near 10 %.
+const (
+	DefaultDensityThreshold = 0.2
+	BSRDensityThreshold     = 0.8
+)
 
 // PlanConfig controls kernel selection when compiling a plan.
 type PlanConfig struct {
@@ -110,14 +129,12 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 			if n := fc.WeightCount(); n > 0 {
 				pl.density = float64(fc.W.NNZ()) / float64(n)
 			}
-			// Sparse layouts only win below the density threshold.
-			// Below it, block metadata promotes the layer from CSR to
-			// BSR under auto.
-			belowThreshold := pl.density <= DefaultDensityThreshold
+			// Each sparse layout only wins below its own density
+			// threshold; 8×8 block metadata selects BSR's.
 			wantBSR := cfg.Backend == BackendBSR ||
-				(cfg.Backend == BackendAuto && fc.BlockSize > 0 && belowThreshold)
+				(cfg.Backend == BackendAuto && fc.BlockSize == 8 && pl.density <= BSRDensityThreshold)
 			wantCSR := cfg.Backend == BackendSparse ||
-				(cfg.Backend == BackendAuto && belowThreshold)
+				(cfg.Backend == BackendAuto && pl.density <= DefaultDensityThreshold)
 			switch {
 			case wantBSR:
 				block := fc.BlockSize
@@ -128,7 +145,7 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 			case wantCSR:
 				pl.kern = csrKernel{sparse.FromDenseSELL(fc.W, fc.B)}
 			default:
-				pl.kern = newDenseKernel(fc)
+				pl.kern = denseKernel{mat.NewPanels(fc.W, fc.B)}
 			}
 			pl.timer = obsKernelTime.With(pl.kern.Name())
 			obsPlanLayerDensity.Observe(pl.density)

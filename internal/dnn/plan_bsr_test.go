@@ -134,27 +134,34 @@ func TestPlanBSRSurvivesPruneThenRetrain(t *testing.T) {
 	}
 }
 
-// TestDensityPolicyBoundary pins auto's density threshold
-// (DefaultDensityThreshold, 1/3) with two models pruned to either side
-// of it: every trainable FC of the sparser model must select the
-// sparse-shaped kernel (bsr with block metadata, sparse without), and
-// every one of the denser model must stay on dense.
+// TestDensityPolicyBoundary pins auto's density thresholds
+// (DefaultDensityThreshold, 0.2, for unstructured and 4×4-block layers
+// and BSRDensityThreshold, 0.8, for 8×8-block ones) with two models
+// pruned to either side of each: every trainable FC of the sparser
+// model must select the sparse-shaped kernel (bsr with 8×8 block
+// metadata, sparse otherwise), and every one of the denser model must
+// stay on dense.
 func TestDensityPolicyBoundary(t *testing.T) {
-	const sparser, denser = 0.7, 0.6 // pruned fractions either side of 2/3
 	cases := []struct {
-		name  string
-		build func(target float64) *dnn.Network
-		below string // kernel expected at or below the threshold
+		name            string
+		build           func(target float64) *dnn.Network
+		threshold       float64
+		sparser, denser float64 // pruned fractions either side of 1 - threshold
+		below           string  // kernel expected at or below the threshold
 	}{
-		{"auto_unstructured", func(f float64) *dnn.Network { return prunedNet(t, f) }, "sparse"},
-		{"auto_block", func(f float64) *dnn.Network { return blockPrunedNet(t, f, 4) }, "bsr"},
+		{"auto_unstructured", func(f float64) *dnn.Network { return prunedNet(t, f) },
+			dnn.DefaultDensityThreshold, 0.85, 0.75, "sparse"},
+		{"auto_block", func(f float64) *dnn.Network { return blockPrunedNet(t, f, 8) },
+			dnn.BSRDensityThreshold, 0.3, 0.1, "bsr"},
+		{"auto_block4", func(f float64) *dnn.Network { return blockPrunedNet(t, f, 4) },
+			dnn.DefaultDensityThreshold, 0.85, 0.75, "sparse"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, side := range []struct {
 				target float64
 				want   string
-			}{{sparser, tc.below}, {denser, "dense"}} {
+			}{{tc.sparser, tc.below}, {tc.denser, "dense"}} {
 				net := tc.build(side.target)
 				kernels := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendAuto}).Kernels()
 				for i, l := range net.Layers {
@@ -163,9 +170,9 @@ func TestDensityPolicyBoundary(t *testing.T) {
 						continue
 					}
 					density := float64(fc.W.NNZ()) / float64(fc.WeightCount())
-					if below := density <= dnn.DefaultDensityThreshold; below != (side.want != "dense") {
+					if below := density <= tc.threshold; below != (side.want != "dense") {
 						t.Fatalf("p%.0f layer %s density %.3f is on the wrong side of %.3f to probe the boundary",
-							100*side.target, fc.LayerName, density, dnn.DefaultDensityThreshold)
+							100*side.target, fc.LayerName, density, tc.threshold)
 					}
 					if kernels[i] != side.want {
 						t.Errorf("p%.0f layer %s (density %.3f): kernel %s, want %s",

@@ -276,7 +276,7 @@ func TestPlanOwnsWeights(t *testing.T) {
 		ex := dnn.Compile(net, dnn.PlanConfig{Backend: backend}).NewExec()
 		before := append([]float64(nil), ex.Logits(in)...)
 		for _, fc := range net.FCs() {
-			mat.Scale(2, fc.W.Data)
+			mat.Scale(fc.W.Data, 2, fc.W.Data)
 			mat.Fill(fc.B, 1)
 		}
 		if !bitsEqual(before, ex.Logits(in)) {

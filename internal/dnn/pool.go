@@ -3,6 +3,8 @@ package dnn
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/mat"
 )
 
 // PNorm is Kaldi's p-norm (p=2) pooling layer ("P" rows of Table I):
@@ -39,15 +41,7 @@ func (p *PNorm) InDim() int   { return p.In }
 func (p *PNorm) OutDim() int  { return p.Out }
 
 func (p *PNorm) Forward(dst, in []float64) {
-	for j := 0; j < p.Out; j++ {
-		var s float64
-		base := j * p.Group
-		for k := 0; k < p.Group; k++ {
-			v := in[base+k]
-			s += v * v
-		}
-		dst[j] = math.Sqrt(s + pnormEps)
-	}
+	mat.GroupNorms(dst[:p.Out], in[:p.In], p.Group, pnormEps)
 }
 
 func (p *PNorm) Backward(dIn, dOut, in, out []float64) {
@@ -89,11 +83,10 @@ func (r *Renorm) scale(in []float64) float64 {
 	return math.Sqrt(float64(r.Dim) / (s + renormEps))
 }
 
+// Forward keeps scale's single add chain, whose order the reference
+// fixes, and runs only the elementwise c·x on the vector unit.
 func (r *Renorm) Forward(dst, in []float64) {
-	c := r.scale(in)
-	for i, v := range in {
-		dst[i] = c * v
-	}
+	mat.Scale(dst[:len(in)], r.scale(in), in)
 }
 
 func (r *Renorm) Backward(dIn, dOut, in, out []float64) {

@@ -111,7 +111,7 @@ func fitMixture(data [][]float64, dim int, cfg Config, rng *mat.RNG) Mixture {
 	for _, f := range data {
 		mat.Axpy(1, f, gmean)
 	}
-	mat.Scale(1/float64(len(data)), gmean)
+	mat.Scale(gmean, 1/float64(len(data)), gmean)
 	gvar := make([]float64, dim)
 	for _, f := range data {
 		for d := range f {

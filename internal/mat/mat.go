@@ -133,10 +133,20 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
+// Scale writes dst[i] = alpha*x[i]. dst must have x's length and may
+// alias it. Each product is one rounded multiply on either body, so the
+// AVX body (four lanes per VMULPD) is bit-identical to the Go loop.
+func Scale(dst []float64, alpha float64, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("mat: Scale length mismatch %d vs %d", len(dst), len(x)))
+	}
+	if useAVX {
+		scaleAVX(dst, alpha, x)
+		return
+	}
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = alpha * v
 	}
 }
 
@@ -154,6 +164,38 @@ func Norm2(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
+}
+
+// GroupNorms writes dst[j] = sqrt(Σ_k x[j*group+k]² + eps), the p-norm
+// (p = 2) of each consecutive group of group inputs. len(x) must be
+// len(dst)*group.
+//
+// Every output is the scalar loop's: an accumulator that starts at +0
+// and takes s += v*v over its group in member order, a separately
+// rounded multiply and add, then one rounded add of eps and a correctly
+// rounded square root. The AVX body scores four groups per pass: it
+// gathers each member of the four groups into the lanes of one YMM,
+// squares and adds them with one VMULPD and one VADDPD (no FMA), and
+// takes the four roots with one VSQRTPD, which rounds exactly as
+// math.Sqrt does. The len(dst)%4 leftover groups, and every group
+// without AVX, take the scalar loop itself, so the AVX body is
+// bit-identical to it.
+func GroupNorms(dst, x []float64, group int, eps float64) {
+	if group <= 0 || len(x) != len(dst)*group {
+		panic(fmt.Sprintf("mat: GroupNorms: %d inputs do not make %d groups of %d", len(x), len(dst), group))
+	}
+	n := 0
+	if useAVX {
+		n = len(dst) &^ 3
+		groupNormsAVX(dst[:n], x[:n*group], group, eps)
+	}
+	for j := n; j < len(dst); j++ {
+		var s float64
+		for _, v := range x[j*group : (j+1)*group] {
+			s += v * v
+		}
+		dst[j] = math.Sqrt(s + eps)
+	}
 }
 
 // ArgMax returns the index of the largest element of x (-1 for empty x).

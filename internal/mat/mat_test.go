@@ -157,7 +157,7 @@ func TestAxpyScaleFill(t *testing.T) {
 	if y[0] != 12 || y[1] != 24 {
 		t.Fatalf("Axpy = %v", y)
 	}
-	Scale(0.5, y)
+	Scale(y, 0.5, y)
 	if y[0] != 6 || y[1] != 12 {
 		t.Fatalf("Scale = %v", y)
 	}

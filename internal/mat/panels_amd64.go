@@ -8,12 +8,13 @@ var useAVX = cpuHasAVX()
 
 // panelAVX is the panel body in AVX (panels_amd64.s): per column, one
 // VBROADCASTSD of x[j], then a VMULPD and a VADDPD into each of four
-// YMM accumulators of four rows. No FMA: each lane rounds the multiply
+// YMM accumulators of four rows; after the columns, one VADDPD of the
+// rows' bias before each store. No FMA: each lane rounds the multiply
 // and the add separately, exactly like panelGo. len(x) must be at
 // least 1 and len(w) must be panelRows*len(x).
 //
 //go:noescape
-func panelAVX(w, x []float64, out *[panelRows]float64)
+func panelAVX(w, x []float64, b, out *[panelRows]float64)
 
 // panel2AVX is panelAVX over two consecutive panels in one pass: per
 // column, one VBROADCASTSD of x[j] feeds both weight streams and eight
@@ -22,7 +23,7 @@ func panelAVX(w, x []float64, out *[panelRows]float64)
 // must be at least 1 and len(w) must be 2*panelRows*len(x).
 //
 //go:noescape
-func panel2AVX(w, x []float64, out *[2 * panelRows]float64)
+func panel2AVX(w, x []float64, b, out *[2 * panelRows]float64)
 
 // cpuHasAVX reports CPUID.1:ECX.AVX and OSXSAVE, and XCR0 saving both
 // the SSE and the AVX state.

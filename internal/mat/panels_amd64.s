@@ -1,11 +1,12 @@
 #include "textflag.h"
 
-// func panelAVX(w, x []float64, out *[16]float64)
-TEXT ·panelAVX(SB), NOSPLIT, $0-56
+// func panelAVX(w, x []float64, b, out *[16]float64)
+TEXT ·panelAVX(SB), NOSPLIT, $0-64
 	MOVQ w_base+0(FP), SI
 	MOVQ x_base+24(FP), DI
 	MOVQ x_len+32(FP), CX
-	MOVQ out+48(FP), DX
+	MOVQ b+48(FP), BX
+	MOVQ out+56(FP), DX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -26,6 +27,11 @@ loop:
 	DECQ         CX
 	JNZ          loop
 
+	// The bias, then the stores.
+	VADDPD  (BX), Y0, Y0
+	VADDPD  32(BX), Y1, Y1
+	VADDPD  64(BX), Y2, Y2
+	VADDPD  96(BX), Y3, Y3
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
@@ -33,12 +39,13 @@ loop:
 	VZEROUPPER
 	RET
 
-// func panel2AVX(w, x []float64, out *[32]float64)
-TEXT ·panel2AVX(SB), NOSPLIT, $0-56
+// func panel2AVX(w, x []float64, b, out *[32]float64)
+TEXT ·panel2AVX(SB), NOSPLIT, $0-64
 	MOVQ w_base+0(FP), SI
 	MOVQ x_base+24(FP), DI
 	MOVQ x_len+32(FP), CX
-	MOVQ out+48(FP), DX
+	MOVQ b+48(FP), BX
+	MOVQ out+56(FP), DX
 
 	// R8 walks the second panel, 16*len(x) weights past the first.
 	MOVQ CX, R8
@@ -77,6 +84,15 @@ loop2:
 	DECQ         CX
 	JNZ          loop2
 
+	// The bias, then the stores.
+	VADDPD  (BX), Y0, Y0
+	VADDPD  32(BX), Y1, Y1
+	VADDPD  64(BX), Y2, Y2
+	VADDPD  96(BX), Y3, Y3
+	VADDPD  128(BX), Y4, Y4
+	VADDPD  160(BX), Y5, Y5
+	VADDPD  192(BX), Y6, Y6
+	VADDPD  224(BX), Y7, Y7
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)

@@ -6,10 +6,10 @@ package mat
 // portable body.
 var useAVX = false
 
-func panelAVX(w, x []float64, out *[panelRows]float64) {
+func panelAVX(w, x []float64, b, out *[panelRows]float64) {
 	panic("mat: no AVX panel body on this architecture")
 }
 
-func panel2AVX(w, x []float64, out *[2 * panelRows]float64) {
+func panel2AVX(w, x []float64, b, out *[2 * panelRows]float64) {
 	panic("mat: no AVX panel body on this architecture")
 }

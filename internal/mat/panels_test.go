@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// panelBodies runs f once per panel body this machine can execute,
+// bodies runs f once per kernel body this machine can execute,
 // switching between them through useAVX: the portable body always,
 // the AVX body where the CPU has it.
-func panelBodies(f func(name string)) {
+func bodies(f func(name string)) {
 	saved := useAVX
 	defer func() { useAVX = saved }()
 	useAVX = false
@@ -20,7 +20,7 @@ func panelBodies(f func(name string)) {
 }
 
 // TestPanelsMatchMatVec pins Panels.MatVec bit for bit against
-// Matrix.MatVec through both panel bodies, on every row count from 1
+// Matrix.MatVec followed by the bias add through both panel bodies, on every row count from 1
 // to 80 (so full panels, ragged last panels, and odd and even panel
 // counts for the AVX body's two-panel pass, its pair ragged or whole)
 // and every column count from 1 to 80, with the values of
@@ -45,13 +45,18 @@ func TestPanelsMatchMatVec(t *testing.T) {
 		for cols := 1; cols <= 80; cols++ {
 			m := NewMatrix(rows, cols)
 			x := make([]float64, cols)
+			b := make([]float64, rows)
 			fill(m.Data)
 			fill(x)
+			fill(b)
 			want := make([]float64, rows)
 			m.MatVec(want, x)
-			p := NewPanels(m)
+			for i := range want {
+				want[i] += b[i]
+			}
+			p := NewPanels(m, b)
 			got := make([]float64, rows)
-			panelBodies(func(body string) {
+			bodies(func(body string) {
 				Fill(got, math.NaN())
 				p.MatVec(got, x)
 				for i := range want {
@@ -66,22 +71,35 @@ func TestPanelsMatchMatVec(t *testing.T) {
 }
 
 // TestPanelsZeroColumns: with no input column every output is the
-// empty sum, +0, and neither panel body runs — the AVX loop would not
-// stop on a zero count.
+// empty sum, +0, plus its bias (so a -0 bias gives +0), and neither
+// panel body runs — the AVX loop would not stop on a zero count.
 func TestPanelsZeroColumns(t *testing.T) {
 	for _, rows := range []int{0, 1, 15, 16, 17, 40} {
-		p := NewPanels(NewMatrix(rows, 0))
+		b := make([]float64, rows)
+		for i := range b {
+			b[i] = []float64{math.Copysign(0, -1), 0, 1.5, -2}[i%4]
+		}
+		p := NewPanels(NewMatrix(rows, 0), b)
 		got := make([]float64, rows)
-		panelBodies(func(body string) {
+		bodies(func(body string) {
 			Fill(got, math.NaN())
 			p.MatVec(got, nil)
 			for i, v := range got {
-				if math.Float64bits(v) != 0 {
-					t.Fatalf("%s body, %dx0 row %d: %v, want +0", body, rows, i, v)
+				if want := 0 + b[i]; math.Float64bits(v) != math.Float64bits(want) || (b[i] == 0 && math.Signbit(v)) {
+					t.Fatalf("%s body, %dx0 row %d: %v, want %v", body, rows, i, v, want)
 				}
 			}
 		})
 	}
+}
+
+func TestNewPanelsPanicsOnBiasMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("expected panic for a short bias")
+		}
+	}()
+	NewPanels(NewMatrix(3, 2), make([]float64, 2))
 }
 
 func TestPanelsMatVecPanicsOnMismatch(t *testing.T) {
@@ -90,7 +108,7 @@ func TestPanelsMatVecPanicsOnMismatch(t *testing.T) {
 			t.Fatalf("expected panic for a short x")
 		}
 	}()
-	NewPanels(NewMatrix(2, 3)).MatVec(make([]float64, 2), make([]float64, 2))
+	NewPanels(NewMatrix(2, 3), make([]float64, 2)).MatVec(make([]float64, 2), make([]float64, 2))
 }
 
 // BenchmarkPanelsMatVec compares the packed panels, through each body
@@ -108,8 +126,8 @@ func BenchmarkPanelsMatVec(b *testing.B) {
 			m.MatVec(dst, x)
 		}
 	})
-	p := NewPanels(m)
-	panelBodies(func(body string) {
+	p := NewPanels(m, make([]float64, m.Rows))
+	bodies(func(body string) {
 		b.Run("panels-"+body, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.MatVec(dst, x)
