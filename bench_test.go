@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/accel/dnnsim"
+	"repro/internal/accel/viterbisim"
 	"repro/internal/asr"
 	"repro/internal/core"
 	"repro/internal/decoder"
@@ -521,51 +522,64 @@ func BenchmarkDecodeFloor(b *testing.B) {
 }
 
 // BenchmarkSessionPushFrame measures the steady-state per-frame cost
-// of a warmed pooled session for both store designs; one op is one
-// PushFrame (the session restarts in place at utterance boundaries).
-// Its allocs/op column reads 0: the contract that the Viterbi hot path
-// never touches the heap once warm, pinned on both stores by
+// of a warmed pooled session on the 90%-pruned test set, the way the
+// offline-sim workload decodes it: each store is the scale's served
+// geometry (asr.StoreFactoryFor), and the probed legs attach a fresh
+// viterbisim.Simulator per utterance. One op is one PushFrame; the
+// session restarts in place at utterance boundaries. The unprobed
+// legs' allocs/op column reads 0: the contract that the Viterbi hot
+// path never touches the heap once warm, pinned on both stores by
 // decoder.TestPushFrameSteadyStateAllocs.
 func BenchmarkSessionPushFrame(b *testing.B) {
 	sys := benchSystem(b)
-	scores := sys.Scores(90)[0]
-	for _, st := range []struct {
-		name  string
-		store decoder.StoreFactory
-	}{
-		{"unbounded", nil},
-		{"nbest", decoder.SetAssocStore(128, 8)},
-	} {
-		b.Run(st.name, func(b *testing.B) {
-			cfg := decoder.Config{Beam: asr.DefaultBeam, AcousticScale: 1, NewStore: st.store}
-			s := sys.Decoder.Start(cfg)
-			warm := func() {
-				for _, f := range scores {
-					if err := s.PushFrame(f); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := s.Restart(cfg); err != nil {
-					b.Fatal(err)
-				}
+	utts := sys.Scores(90)
+	for _, kind := range []string{"unbounded", "nbest"} {
+		store, err := asr.StoreFactoryFor(sys.Scale, kind, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, probed := range []bool{false, true} {
+			name := kind + "/unprobed"
+			if probed {
+				name = kind + "/probed"
 			}
-			warm()
-			warm() // the first Restart may still size store scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			j := 0
-			for i := 0; i < b.N; i++ {
-				if err := s.PushFrame(scores[j]); err != nil {
-					b.Fatal(err)
-				}
-				if j++; j == len(scores) {
+			b.Run(name, func(b *testing.B) {
+				cfg := decoder.Config{Beam: asr.DefaultBeam, AcousticScale: 1, NewStore: store}
+				s := sys.Decoder.Start(cfg)
+				u := 0
+				next := func() { // restart on the next utterance
+					u = (u + 1) % len(utts)
+					if probed {
+						vcfg := sys.Scale.ViterbiConfig()
+						vcfg.NBestTable = kind == "nbest"
+						cfg.Probe = viterbisim.New(vcfg)
+					}
 					if err := s.Restart(cfg); err != nil {
 						b.Fatal(err)
 					}
-					j = 0
 				}
-			}
-		})
+				for range 2 * len(utts) { // the first pass may still size store scratch
+					for _, f := range utts[u] {
+						if err := s.PushFrame(f); err != nil {
+							b.Fatal(err)
+						}
+					}
+					next()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				j := 0
+				for i := 0; i < b.N; i++ {
+					if err := s.PushFrame(utts[u][j]); err != nil {
+						b.Fatal(err)
+					}
+					if j++; j == len(utts[u]) {
+						next()
+						j = 0
+					}
+				}
+			})
+		}
 	}
 }
 

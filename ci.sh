@@ -60,6 +60,16 @@ go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime 15s ./internal/dnn
 # backend and score a frame.
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 15s ./internal/dnn
 
+# Search fuzz leg: bounded runs of the search's differential checks.
+# FuzzCache drives the simulator's recency-order caches against the
+# stamp-LRU model they replaced, hit for hit; FuzzSetAssocInsert and
+# FuzzUnboundedInsert drive each hypothesis store against a test-only
+# copy of its earlier implementation, comparing every Outcome, every
+# Each sequence and the Stats.
+go test -run '^$' -fuzz '^FuzzCache$' -fuzztime 15s ./internal/accel/viterbisim
+go test -run '^$' -fuzz '^FuzzSetAssocInsert$' -fuzztime 15s ./internal/core
+go test -run '^$' -fuzz '^FuzzUnboundedInsert$' -fuzztime 15s ./internal/core
+
 # Kernel and decode floors, each the per-series minimum of three
 # interleaved rounds: sparse >= 1.8x dense and bsr >= 1.15x sparse at
 # p90 and dense no slower than bsr at p0 on the 4.5M-weight FC stack,

@@ -65,16 +65,16 @@ type Simulator struct {
 	arc     *Cache
 	lattice *Cache
 
-	acousticReads int64
-	missCycles    int64
-	frames        int64
+	missCycles int64
+	frames     int64
 
 	// per-frame cycle trace for tail-latency analysis
 	frameCycles     []int64
 	cyclesThisFrame int64
 }
 
-// New builds a simulator for the given configuration.
+// New builds a simulator for the given configuration. It panics if
+// cfg.LineSize is not a power of two.
 func New(cfg Config) *Simulator {
 	return &Simulator{
 		cfg:     cfg,
@@ -96,11 +96,6 @@ func (s *Simulator) Access(region decoder.Region, addr int64, bytes int) {
 		misses = s.arc.Access(addr, bytes)
 	case decoder.RegionLattice:
 		misses = s.lattice.Access(addr, bytes)
-	case decoder.RegionAcoustic:
-		// The acoustic likelihood buffer holds the whole frame's scores
-		// on chip: always a hit, counted for energy only.
-		s.acousticReads++
-		return
 	}
 	if misses > 0 {
 		penalty := int64(misses) * s.cfg.DRAMLatency
@@ -182,7 +177,9 @@ func (s *Simulator) energyFor(stats decoder.Stats, store core.Stats, seconds flo
 	acc.AddDynamic(s.arc.Hits, energy.ArcCachePJ)
 	acc.AddDynamic(s.lattice.Hits, energy.LatticeCachePJ)
 	acc.AddDynamic(s.state.Misses+s.arc.Misses+s.lattice.Misses, energy.DRAMLinePJ)
-	acc.AddDynamic(s.acousticReads, energy.AcousticBufPJ)
+	// The acoustic likelihood buffer holds the whole frame's scores on
+	// chip: one read, always a hit, per hypothesis within the beam.
+	acc.AddDynamic(stats.Hypotheses, energy.AcousticBufPJ)
 	// Likelihood evaluation: one FP add per eps arc, add+compare per
 	// emitting arc.
 	acc.AddDynamic(stats.ArcsEvaluated, energy.FPAddPJ+energy.FPCmpPJ)

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decoder"
+	"repro/internal/energy"
+	"repro/internal/wfst"
 )
 
 func TestCacheBasics(t *testing.T) {
@@ -69,7 +71,6 @@ func TestSimulatorAccumulates(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		sim.Access(decoder.RegionState, i*64, 8)
 		sim.Access(decoder.RegionArc, i*64, 16)
-		sim.Access(decoder.RegionAcoustic, i*4, 4)
 	}
 	sim.FrameDone()
 	stats := decoder.Stats{ArcsEvaluated: 100, EpsExpansions: 10}
@@ -113,16 +114,66 @@ func TestNBestConfigCheaperStore(t *testing.T) {
 }
 
 func TestAcousticBufferNeverMisses(t *testing.T) {
+	// The acoustic likelihood buffer is on chip and never misses: a
+	// decode with no other activity costs exactly one buffer read per
+	// hypothesis within the beam, and no miss cycles.
 	sim := New(smallCfg())
-	for i := int64(0); i < 10000; i++ {
-		sim.Access(decoder.RegionAcoustic, i*4, 4)
-	}
-	rep := sim.Finish(decoder.Stats{})
+	rep := sim.Finish(decoder.Stats{Hypotheses: 10000})
 	if rep.MissCycles != 0 {
 		t.Fatalf("acoustic buffer should be on-chip only")
 	}
-	if rep.Energy.TotalJ() <= 0 {
-		t.Fatalf("acoustic reads should still cost energy")
+	if want := 10000 * energy.AcousticBufPJ; rep.Energy.DynamicPJ != want {
+		t.Fatalf("dynamic energy = %v pJ, want %v", rep.Energy.DynamicPJ, want)
+	}
+
+	// A real probed decode: the dynamic energy is the cache traffic,
+	// AcousticBufPJ × Stats.Hypotheses, the likelihood evaluation and
+	// the hash traffic, summed in that order, bit for bit.
+	f := wfst.New(0, 0)
+	start, hub := f.AddState(), f.AddState()
+	f.Start = start
+	f.SetFinal(hub, 0)
+	for word, senones := range [][]int{{0, 1}, {2, 3}, {1, 2}} {
+		q := f.AddState()
+		f.AddArc(start, wfst.Arc{OLabel: wfst.OLabelOf(word), Weight: 0.1, Next: q})
+		for _, sen := range senones {
+			next := f.AddState()
+			f.AddArc(q, wfst.Arc{ILabel: wfst.ILabelOf(sen), Weight: 0.7, Next: next})
+			f.AddArc(next, wfst.Arc{ILabel: wfst.ILabelOf(sen), Weight: 0.6, Next: next})
+			q = next
+		}
+		f.AddArc(q, wfst.Arc{Next: hub})
+	}
+	f.AddArc(hub, wfst.Arc{Next: start})
+	scores := make([][]float64, 12)
+	for i := range scores {
+		scores[i] = []float64{-0.5, -1, -1.5, -2}
+		scores[i][i%4] = -0.01
+	}
+	for _, cfg := range []Config{smallCfg(), NBestConfig()} {
+		sim := New(cfg)
+		r := decoder.New(f).Decode(scores, decoder.Config{Beam: 15, AcousticScale: 1, Probe: sim})
+		if r.Stats.Hypotheses == 0 {
+			t.Fatalf("decode generated no hypotheses")
+		}
+		rep := sim.Finish(r.Stats)
+		var acc energy.Account
+		acc.AddDynamic(sim.state.Hits, energy.StateCachePJ)
+		acc.AddDynamic(sim.arc.Hits, energy.ArcCachePJ)
+		acc.AddDynamic(sim.lattice.Hits, energy.LatticeCachePJ)
+		acc.AddDynamic(sim.state.Misses+sim.arc.Misses+sim.lattice.Misses, energy.DRAMLinePJ)
+		acc.AddDynamic(r.Stats.Hypotheses, energy.AcousticBufPJ)
+		acc.AddDynamic(r.Stats.ArcsEvaluated, energy.FPAddPJ+energy.FPCmpPJ)
+		acc.AddDynamic(r.Stats.EpsExpansions, energy.FPAddPJ)
+		hashPJ := energy.HashTablePJ
+		if cfg.NBestTable {
+			hashPJ = energy.NBestTablePJ
+		}
+		acc.AddDynamic(r.Stats.Store.Inserts+r.Stats.Store.BackupAccesses, hashPJ)
+		acc.AddDynamic(r.Stats.Store.Overflows, energy.DRAMWordPJ)
+		if rep.Energy.DynamicPJ != acc.DynamicPJ {
+			t.Fatalf("NBestTable=%v: dynamic energy = %v pJ, want %v", cfg.NBestTable, rep.Energy.DynamicPJ, acc.DynamicPJ)
+		}
 	}
 }
 

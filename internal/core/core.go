@@ -107,3 +107,22 @@ func hashKey(key uint64) uint64 {
 	key ^= key >> 33
 	return key
 }
+
+// reducer maps a hash to a slot in [0, n): a mask when n is a power of
+// two, a modulo otherwise. Both read hash % n; the mask spares the
+// divide on the geometries that allow it.
+type reducer struct {
+	n    uint64
+	pow2 bool
+}
+
+func newReducer(n int) reducer {
+	return reducer{n: uint64(n), pow2: n&(n-1) == 0}
+}
+
+func (r reducer) of(h uint64) uint64 {
+	if r.pow2 {
+		return h & (r.n - 1)
+	}
+	return h % r.n
+}

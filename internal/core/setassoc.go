@@ -14,12 +14,16 @@ import "fmt"
 //   - full, cost <  set max → evict the max along the Maximum-path
 type SetAssoc[P any] struct {
 	sets, ways int
+	setOfHash  reducer // hash → set
 
-	// flat entry storage: set s occupies [s*ways, (s+1)*ways)
+	// flat entry storage: set s occupies [s*ways, (s+1)*ways). Ways
+	// fill as a prefix — a free way is always way heapSize[s], and an
+	// eviction replaces in place — so way w of set s holds a
+	// hypothesis exactly when w < heapSize[s], and no valid bits are
+	// kept.
 	keys    []uint64
 	costs   []float64
 	payload []P
-	valid   []bool
 
 	// Per-set Max-Heap metadata, mirroring the hardware of Figure 8.
 	//
@@ -36,21 +40,15 @@ type SetAssoc[P any] struct {
 	// between heap nodes (heapSwap, heapPush, replaceMax) updates both
 	// vectors together to preserve the invariant.
 	//
-	// maxPath[s*depth+l] is the heap-node index at depth l+1 of set
-	// s's Maximum-path: the nodes visited by repeatedly following the
-	// max-cost child downward from the root. The root itself (node 0)
-	// is always on the path and therefore not stored; a negative entry
-	// marks levels below the bottom of the current heap.
+	// The Maximum-path — the heap nodes visited by repeatedly
+	// following the max-cost child downward from the root — is a
+	// vector the hardware updates on every insertion. It is read only
+	// by a replacement, so software walks it from the current heap at
+	// that point (replaceMax, via maxChild) and stores no copy.
 	heapIdx  []uint8
 	heapPos  []uint8
 	heapSize []int
-	maxPath  []int8
-	depth    int
-
-	// pathBuf is replaceMax's reusable Maximum-path gather scratch
-	// (root + up to depth stored nodes); per-table so the eviction
-	// path never allocates.
-	pathBuf []int
+	depth    int // Maximum-path levels below the root: floor(log2(ways))
 
 	count int
 	stats Stats
@@ -75,15 +73,13 @@ func NewSetAssoc[P any](sets, ways int) *SetAssoc[P] {
 	}
 	t := &SetAssoc[P]{
 		sets: sets, ways: ways, depth: depth,
-		keys:     make([]uint64, sets*ways),
-		costs:    make([]float64, sets*ways),
-		payload:  make([]P, sets*ways),
-		valid:    make([]bool, sets*ways),
-		heapIdx:  make([]uint8, sets*ways),
-		heapPos:  make([]uint8, sets*ways),
-		heapSize: make([]int, sets),
-		maxPath:  make([]int8, sets*max(depth, 1)),
-		pathBuf:  make([]int, 0, depth+1),
+		setOfHash: newReducer(sets),
+		keys:      make([]uint64, sets*ways),
+		costs:     make([]float64, sets*ways),
+		payload:   make([]P, sets*ways),
+		heapIdx:   make([]uint8, sets*ways),
+		heapPos:   make([]uint8, sets*ways),
+		heapSize:  make([]int, sets),
 
 		evictionCycles: 1,
 	}
@@ -118,19 +114,16 @@ func (t *SetAssoc[P]) Stats() Stats { return t.stats }
 // ResetStats zeroes the accumulated counters (see Store.ResetStats).
 func (t *SetAssoc[P]) ResetStats() { t.stats = Stats{} }
 
-// Reset clears the table; statistics accumulate across frames.
+// Reset clears the table; statistics accumulate across frames. Each
+// set's ways are a prefix of length heapSize, so emptying the heaps
+// empties the table.
 func (t *SetAssoc[P]) Reset() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
-	for s := range t.heapSize {
-		t.heapSize[s] = 0
-	}
+	clear(t.heapSize)
 	t.count = 0
 }
 
 func (t *SetAssoc[P]) setOf(key uint64) int {
-	return int(hashKey(key) % uint64(t.sets))
+	return int(t.setOfHash.of(hashKey(key)))
 }
 
 // Insert offers a hypothesis to the table. Every access is modelled as
@@ -142,38 +135,33 @@ func (t *SetAssoc[P]) Insert(key uint64, cost float64, payload P) Outcome {
 	t.stats.Cycles++ // single-cycle guarantee of the design
 	s := t.setOf(key)
 	base := s * t.ways
+	n := t.heapSize[s]
 
-	// Associative key match (parallel comparators in hardware).
-	for w := 0; w < t.ways; w++ {
+	// Associative key match (parallel comparators in hardware) over
+	// the set's filled ways.
+	for w := 0; w < n; w++ {
 		i := base + w
-		if t.valid[i] && t.keys[i] == key {
+		if t.keys[i] == key {
 			t.stats.Recombines++
 			if cost < t.costs[i] {
 				t.costs[i] = cost
 				t.payload[i] = payload
 				t.siftDown(s, t.heapPosOf(s, uint8(w)))
-				t.rebuildMaxPath(s)
 			}
 			return Recombined
 		}
 	}
 
-	// Free way?
-	if t.heapSize[s] < t.ways {
-		for w := 0; w < t.ways; w++ {
-			i := base + w
-			if !t.valid[i] {
-				t.valid[i] = true
-				t.keys[i] = key
-				t.costs[i] = cost
-				t.payload[i] = payload
-				t.heapPush(s, uint8(w))
-				t.count++
-				t.stats.Stored++
-				return Inserted
-			}
-		}
-		panic("core: heapSize disagrees with valid bits")
+	// Free way: the first one past the filled prefix.
+	if n < t.ways {
+		i := base + n
+		t.keys[i] = key
+		t.costs[i] = cost
+		t.payload[i] = payload
+		t.heapPush(s, uint8(n))
+		t.count++
+		t.stats.Stored++
+		return Inserted
 	}
 
 	// Full set: compare with the root (set maximum).
@@ -192,8 +180,8 @@ func (t *SetAssoc[P]) Insert(key uint64, cost float64, payload P) Outcome {
 // hypotheses back for the next frame costs one cycle per entry, all
 // on chip — the table is small enough that there is no DRAM tail.
 func (t *SetAssoc[P]) Each(fn func(key uint64, cost float64, payload P)) {
-	for i, ok := range t.valid {
-		if ok {
+	for s, n := range t.heapSize {
+		for i := s * t.ways; i < s*t.ways+n; i++ {
 			t.stats.Cycles++
 			fn(t.keys[i], t.costs[i], t.payload[i])
 		}
@@ -202,17 +190,23 @@ func (t *SetAssoc[P]) Each(fn func(key uint64, cost float64, payload P)) {
 
 // SetSnapshot exposes the internal state of one set for tests and the
 // Figure 8 worked example: entry costs by way, the Max-Heap index
-// vector (way stored at each heap node) and the Maximum-path node ids.
+// vector (way stored at each heap node) and the Maximum-path node ids
+// below the root, one per level, -1 for levels below the bottom of the
+// heap.
 func (t *SetAssoc[P]) SetSnapshot(s int) (costs []float64, valid []bool, heapIdx []uint8, maxPath []int8) {
 	base := s * t.ways
 	costs = append(costs, t.costs[base:base+t.ways]...)
-	valid = append(valid, t.valid[base:base+t.ways]...)
-	heapIdx = append(heapIdx, t.heapIdx[base:base+t.heapSize[s]]...)
-	d := t.depth
-	if d < 1 {
-		d = 1
+	for w := 0; w < t.ways; w++ {
+		valid = append(valid, w < t.heapSize[s])
 	}
-	maxPath = append(maxPath, t.maxPath[s*d:s*d+t.depth]...)
+	heapIdx = append(heapIdx, t.heapIdx[base:base+t.heapSize[s]]...)
+	h := 0
+	for l := 0; l < t.depth; l++ {
+		if h >= 0 {
+			h = t.maxChild(s, h)
+		}
+		maxPath = append(maxPath, int8(h))
+	}
 	return costs, valid, heapIdx, maxPath
 }
 
@@ -259,7 +253,6 @@ func (t *SetAssoc[P]) heapPush(s int, w uint8) {
 		t.heapSwap(s, h, parent)
 		h = parent
 	}
-	t.rebuildMaxPath(s)
 }
 
 // siftDown restores the max-heap property downward from node h (used
@@ -283,28 +276,18 @@ func (t *SetAssoc[P]) siftDown(s, h int) {
 	}
 }
 
-// rebuildMaxPath recomputes the Maximum-path metadata of set s: the
-// heap nodes visited following the maximum-cost child from the root.
-// The hardware updates this vector on every insertion (Section III-B);
-// rebuilding is its software equivalent.
-func (t *SetAssoc[P]) rebuildMaxPath(s int) {
+// maxChild returns the Maximum-path successor of heap node h in set s:
+// its costlier child (the left one on a tie), or -1 if h is a leaf.
+func (t *SetAssoc[P]) maxChild(s, h int) int {
 	n := t.heapSize[s]
-	h := 0
-	for l := 0; l < t.depth; l++ {
-		left, right := 2*h+1, 2*h+2
-		next := -1
-		if left < n {
-			next = left
-		}
-		if right < n && t.heapCost(s, right) > t.heapCost(s, left) {
-			next = right
-		}
-		t.maxPath[s*max(t.depth, 1)+l] = int8(next)
-		if next < 0 {
-			break
-		}
-		h = next
+	left, right := 2*h+1, 2*h+2
+	if left >= n {
+		return -1
 	}
+	if right < n && t.heapCost(s, right) > t.heapCost(s, left) {
+		return right
+	}
+	return left
 }
 
 // replaceMax implements the single-cycle replacement of Figure 8: the
@@ -312,49 +295,36 @@ func (t *SetAssoc[P]) rebuildMaxPath(s int) {
 // the Maximum-path; nodes costlier than the newcomer shift up one
 // level, and the newcomer takes the deepest vacated node. Only the
 // 3-bit indices in the heap index vector move — entry data stays put.
+//
+// Costs along the path are non-increasing, so the comparison outcomes
+// form a prefix of "shift up", and walking the path from the root
+// while the next node is costlier finds the same node the parallel
+// comparison does. A shift only rewrites nodes above the one whose
+// child is chosen next, so the walk reads the path as it stood before
+// the replacement.
 func (t *SetAssoc[P]) replaceMax(s int, key uint64, cost float64, payload P) {
 	base := s * t.ways
 	victimWay := t.heapIdx[base] // root holds the set maximum
 
-	// Gather the maximum path: root, then stored path nodes. The
-	// per-table scratch keeps this off the allocator — replaceMax runs
-	// once per eviction, i.e. at hypothesis-explosion rate.
-	path := append(t.pathBuf[:0], 0)
-	for l := 0; l < t.depth; l++ {
-		next := int(t.maxPath[s*max(t.depth, 1)+l])
-		if next < 0 {
-			break
-		}
-		path = append(path, next)
-	}
-
-	// Parallel comparisons: find how deep the newcomer sinks. Costs
-	// along the path are non-increasing, so the comparison outcomes
-	// form a prefix of "shift up".
-	place := 0
-	for i := 1; i < len(path); i++ {
-		if t.heapCost(s, path[i]) > cost {
-			place = i
-		} else {
-			break
-		}
-	}
-
 	// Shift path nodes up one level and drop the newcomer in, keeping
 	// the reverse index vector in step with every moved way.
-	for i := 1; i <= place; i++ {
-		w := t.heapIdx[base+path[i]]
-		t.heapIdx[base+path[i-1]] = w
-		t.heapPos[base+int(w)] = uint8(path[i-1])
+	h := 0
+	for {
+		next := t.maxChild(s, h)
+		if next < 0 || t.heapCost(s, next) <= cost {
+			break
+		}
+		w := t.heapIdx[base+next]
+		t.heapIdx[base+h] = w
+		t.heapPos[base+int(w)] = uint8(h)
+		h = next
 	}
-	t.heapIdx[base+path[place]] = victimWay
-	t.heapPos[base+int(victimWay)] = uint8(path[place])
+	t.heapIdx[base+h] = victimWay
+	t.heapPos[base+int(victimWay)] = uint8(h)
 
 	// The victim's way now stores the newcomer.
 	i := base + int(victimWay)
 	t.keys[i] = key
 	t.costs[i] = cost
 	t.payload[i] = payload
-
-	t.rebuildMaxPath(s)
 }

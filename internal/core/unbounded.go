@@ -1,6 +1,6 @@
 package core
 
-import "slices"
+import "math/bits"
 
 // Unbounded models UNFOLD's hypothesis storage (Section III-A): a
 // direct-mapped hash table backed by an on-chip backup buffer for
@@ -13,29 +13,35 @@ import "slices"
 //   - collision chained into the backup buffer: 1 cycle per chain hop
 //   - overflow entry: DRAMPenalty cycles per access (main-memory latency)
 //
-// The software implementation is allocation-free at steady state:
-// direct-mapped slots are invalidated wholesale by an epoch bump
-// (stamp == epoch means live) instead of a 32K-entry clearing loop,
-// the per-epoch occupancy list lets Each visit live slots in direct-
-// index order without scanning the whole table, and overflow entries
-// live in a reusable insertion-ordered slice indexed by a bucket-
-// reused map. None of this changes the modelled behaviour: outcomes,
-// statistics, and the deterministic readout order (direct slots by
-// ascending index, then the backup buffer, then overflow in insertion
-// order) are identical to the clearing implementation.
+// The software implementation is allocation-free at steady state.
+// Direct-mapped slots are invalidated wholesale by an epoch bump
+// (stamp == epoch means live) instead of a 32K-entry clearing loop. A
+// two-level bitmap of the slots claimed this epoch (one bit per slot,
+// one summary bit per nonzero bitmap word) lets Each visit live slots
+// in direct-index order, and Reset clear them, without sorting and
+// without reading every slot or bitmap word. Overflow entries live in
+// a reusable insertion-ordered slice found through an open-addressed
+// index whose slots are epoch-stamped too, so a frame that overflowed
+// heavily leaves nothing to clear. None of this changes the modelled
+// behaviour: outcomes, statistics, and the deterministic readout order
+// (direct slots by ascending index, then the backup buffer, then
+// overflow in insertion order) are identical to the clearing
+// implementation.
 type Unbounded[P any] struct {
 	// geometry
 	directEntries int
 	backupEntries int
 	dramPenalty   int
 
-	direct   []dmEntry[P]
-	epoch    uint32       // direct[i] live iff direct[i].stamp == epoch
-	occupied []int32      // direct indices claimed this epoch (unsorted)
-	backup   []dmEntry[P] // chained; index 0 unused (0 = nil link)
+	direct  []dmEntry[P]
+	slotOf  reducer      // hash → direct index
+	epoch   uint32       // direct[i] and ovIndex[i] live iff their stamp == epoch
+	claimed []uint64     // bit i: direct slot i claimed this epoch
+	summary []uint64     // bit w: claimed[w] != 0
+	backup  []dmEntry[P] // chained; index 0 unused (0 = nil link)
 
-	ovIndex   map[uint64]int32 // key → ovEntries position
-	ovEntries []ovEntry[P]     // overflow in insertion order
+	ovIndex   []ovSlot     // open-addressed, power-of-two sized, at most half full
+	ovEntries []ovEntry[P] // overflow in insertion order
 
 	count int
 	stats Stats
@@ -53,6 +59,13 @@ type ovEntry[P any] struct {
 	key     uint64
 	cost    float64
 	payload P
+}
+
+// ovSlot is one overflow index slot: key's position in ovEntries.
+type ovSlot struct {
+	key   uint64
+	stamp uint32
+	pos   int32
 }
 
 // UNFOLD's published configuration: 32K direct-mapped entries, 16K
@@ -80,9 +93,11 @@ func NewUnbounded[P any](directEntries, backupEntries, dramPenalty int) *Unbound
 		backupEntries: backupEntries,
 		dramPenalty:   dramPenalty,
 		direct:        make([]dmEntry[P], directEntries),
+		slotOf:        newReducer(directEntries),
 		epoch:         1,
+		claimed:       make([]uint64, (directEntries+63)/64),
+		summary:       make([]uint64, (directEntries+64*64-1)/(64*64)),
 		backup:        make([]dmEntry[P], 1, 1+backupEntries),
-		ovIndex:       map[uint64]int32{},
 	}
 }
 
@@ -98,19 +113,27 @@ func (t *Unbounded[P]) Stats() Stats { return t.stats }
 // ResetStats zeroes the accumulated counters (see Store.ResetStats).
 func (t *Unbounded[P]) ResetStats() { t.stats = Stats{} }
 
-// Reset clears contents; counters accumulate. The direct table is
-// invalidated by an epoch bump — O(live entries), not O(table size).
+// Reset clears contents; counters accumulate. The direct table and
+// the overflow index are invalidated by an epoch bump; the claimed
+// bitmap clears only the words its summary marks.
 func (t *Unbounded[P]) Reset() {
 	t.epoch++
 	if t.epoch == 0 { // uint32 wraparound: stale stamps could alias
 		for i := range t.direct {
 			t.direct[i].stamp = 0
 		}
+		for i := range t.ovIndex {
+			t.ovIndex[i].stamp = 0
+		}
 		t.epoch = 1
 	}
-	t.occupied = t.occupied[:0]
+	for si, sw := range t.summary {
+		for ; sw != 0; sw &= sw - 1 {
+			t.claimed[si*64+bits.TrailingZeros64(sw)] = 0
+		}
+		t.summary[si] = 0
+	}
 	t.backup = t.backup[:1]
-	clear(t.ovIndex)
 	t.ovEntries = t.ovEntries[:0]
 	t.count = 0
 }
@@ -119,7 +142,8 @@ func (t *Unbounded[P]) Reset() {
 func (t *Unbounded[P]) Insert(key uint64, cost float64, payload P) Outcome {
 	t.stats.Inserts++
 	t.stats.Cycles++ // direct-mapped probe
-	di := int32(hashKey(key) % uint64(t.directEntries))
+	h := hashKey(key)
+	di := t.slotOf.of(h)
 	slot := &t.direct[di]
 
 	if slot.stamp != t.epoch {
@@ -128,7 +152,8 @@ func (t *Unbounded[P]) Insert(key uint64, cost float64, payload P) Outcome {
 		slot.cost = cost
 		slot.payload = payload
 		slot.next = 0
-		t.occupied = append(t.occupied, di)
+		t.claimed[di/64] |= 1 << (di % 64)
+		t.summary[di/(64*64)] |= 1 << (di / 64 % 64)
 		t.count++
 		t.stats.Stored++
 		return Inserted
@@ -174,8 +199,12 @@ func (t *Unbounded[P]) Insert(key uint64, cost float64, payload P) Outcome {
 	// On-chip exhausted: overflow to main memory.
 	t.stats.Overflows++
 	t.stats.Cycles += int64(t.dramPenalty)
-	if i, ok := t.ovIndex[key]; ok {
-		e := &t.ovEntries[i]
+	if 2*(len(t.ovEntries)+1) > len(t.ovIndex) {
+		t.growOverflowIndex() // room for one more entry, kept at most half full
+	}
+	sl := t.ovFind(key, h)
+	if sl.stamp == t.epoch {
+		e := &t.ovEntries[sl.pos]
 		t.stats.Recombines++
 		if cost < e.cost {
 			e.cost = cost
@@ -183,11 +212,36 @@ func (t *Unbounded[P]) Insert(key uint64, cost float64, payload P) Outcome {
 		}
 		return Recombined
 	}
-	t.ovIndex[key] = int32(len(t.ovEntries))
+	*sl = ovSlot{key: key, stamp: t.epoch, pos: int32(len(t.ovEntries))}
 	t.ovEntries = append(t.ovEntries, ovEntry[P]{key: key, cost: cost, payload: payload})
 	t.count++
 	t.stats.Stored++
 	return Inserted
+}
+
+// ovFind returns key's overflow index slot, or the empty slot where
+// it belongs. h is hashKey(key); the probe starts from its high bits,
+// which the direct index (its low bits, or h mod a small count) leaves
+// spread out among the keys that overflow.
+func (t *Unbounded[P]) ovFind(key, h uint64) *ovSlot {
+	mask := uint64(len(t.ovIndex) - 1)
+	for i := (h >> 32) & mask; ; i = (i + 1) & mask {
+		sl := &t.ovIndex[i]
+		if sl.stamp != t.epoch || sl.key == key {
+			return sl
+		}
+	}
+}
+
+// growOverflowIndex doubles the overflow index (16 slots at first) and
+// re-enters this epoch's overflow entries. It runs only when a frame
+// overflows more than any frame before it, so a warmed store never
+// allocates here.
+func (t *Unbounded[P]) growOverflowIndex() {
+	t.ovIndex = make([]ovSlot, max(16, 2*len(t.ovIndex)))
+	for pos, e := range t.ovEntries {
+		*t.ovFind(e.key, hashKey(e.key)) = ovSlot{key: e.key, stamp: t.epoch, pos: int32(pos)}
+	}
 }
 
 // Each visits every stored hypothesis (direct, backup, overflow).
@@ -197,14 +251,18 @@ func (t *Unbounded[P]) Insert(key uint64, cost float64, payload P) Outcome {
 // impact" cost, paid again on the way out.
 //
 // Direct-mapped slots are visited in ascending index order (the
-// hardware's table scan); sorting the occupancy list reproduces that
-// order in O(live · log live) instead of touching all 32K slots.
+// hardware's table scan); walking the claimed bitmap through its
+// summary reproduces that order reading only the nonzero words.
 func (t *Unbounded[P]) Each(fn func(key uint64, cost float64, payload P)) {
-	slices.Sort(t.occupied)
-	for _, di := range t.occupied {
-		e := &t.direct[di]
-		t.stats.Cycles++
-		fn(e.key, e.cost, e.payload)
+	for si, sw := range t.summary {
+		for ; sw != 0; sw &= sw - 1 {
+			wi := si*64 + bits.TrailingZeros64(sw)
+			for word := t.claimed[wi]; word != 0; word &= word - 1 {
+				e := &t.direct[wi*64+bits.TrailingZeros64(word)]
+				t.stats.Cycles++
+				fn(e.key, e.cost, e.payload)
+			}
+		}
 	}
 	for i := 1; i < len(t.backup); i++ {
 		t.stats.Cycles++

@@ -43,7 +43,6 @@ type Region int
 const (
 	RegionState Region = iota
 	RegionArc
-	RegionAcoustic
 	RegionLattice
 	numRegions
 )
@@ -160,7 +159,6 @@ type Decoder struct {
 const (
 	stateRecordBytes = 8
 	arcRecordBytes   = 16
-	scoreBytes       = 4
 	latticeBytes     = 8
 )
 

@@ -452,9 +452,6 @@ func (s *Session) expand(frame []float64, fa *FrameActivity, pooled bool, par in
 			if cost > limit {
 				continue
 			}
-			if s.cfg.Probe != nil {
-				s.cfg.Probe.Access(RegionAcoustic, int64(sen)*scoreBytes, scoreBytes)
-			}
 			words := tok.Words
 			var wl *WordLink
 			if a.OLabel != wfst.Epsilon {

@@ -16,8 +16,10 @@ const (
 	// BackendAuto picks per FC layer: the BSR block-sparse kernel for
 	// a layer block-pruned in 8×8 tiles (FC.BlockSize == 8) at or below
 	// BSRDensityThreshold, the CSR sparse kernel for any other layer at
-	// or below DefaultDensityThreshold, and the dense matvec otherwise. All three are bit-identical, so the choice is
-	// invisible to decode results.
+	// or below DefaultDensityThreshold, and the dense matvec otherwise
+	// (PortableBSRDensityThreshold and PortableDensityThreshold where
+	// the portable kernel bodies run, i.e. !mat.HasAVX()). All three
+	// are bit-identical, so the choice is invisible to decode results.
 	BackendAuto Backend = "auto"
 	// BackendDense forces the dense matvec for every FC layer.
 	BackendDense Backend = "dense"
@@ -73,6 +75,31 @@ const (
 	BSRDensityThreshold     = 0.8
 )
 
+// PortableDensityThreshold and PortableBSRDensityThreshold are the
+// same pair for the portable Go bodies, which every kernel runs where
+// mat.HasAVX is false (BenchmarkDensityCrossover's portable/ legs on
+// the same layer and host, AVX cleared, minimum of 3 runs):
+//
+//	density      10 %  15 %  20 %  25 %  30 %  40 %  60 %  80 %  90 %
+//	dense (µs)   21.0  17.4  20.8  19.6  19.4  19.5  24.5  17.7  17.5
+//	sparse (µs)  5.64  5.78  9.42  12.5  13.5  21.6  29.3  33.0  30.1
+//	bsr 8×8 (µs) 2.87  2.19  4.47  3.43  4.15  5.83  8.23  10.6  11.4
+//	bsr 4×4 (µs) 2.59  3.71  5.62  7.55  7.26  13.0  15.2  15.9  18.2
+//
+// The portable dense panels are about five times slower than their AVX
+// body, so both sparse kernels win far longer: SELL-4 crosses the dense
+// time between 35 and 40 % (a second run in 2–3 % steps read 12.9 µs
+// against 16.4 at 35 % and 16.1 against 15.2 at 40 %), and 8×8 BSR
+// never crosses it, still 14.9 µs against 21.7 on the unpruned layer
+// tiled 8×8. So on these bodies auto takes SELL-4 up to 35 % and BSR
+// for every 8×8-block-pruned layer. 4×4 BSR beats SELL-4 at every
+// density here too, but the rule keys BSR to 8×8 block metadata on
+// both bodies, so a 4×4-block-pruned layer keeps the CSR threshold.
+const (
+	PortableDensityThreshold    = 0.35
+	PortableBSRDensityThreshold = 1.0
+)
+
 // PlanConfig controls kernel selection when compiling a plan.
 type PlanConfig struct {
 	// Backend is the kernel policy (default BackendAuto).
@@ -122,6 +149,10 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 		cfg.Backend = BackendAuto
 	}
 	p := &Plan{inDim: net.InDim(), outDim: net.OutDim()}
+	csrMax, bsrMax := DefaultDensityThreshold, BSRDensityThreshold
+	if !mat.HasAVX() {
+		csrMax, bsrMax = PortableDensityThreshold, PortableBSRDensityThreshold
+	}
 	for _, l := range net.Layers {
 		pl := planLayer{name: l.Name(), outDim: l.OutDim(), density: 1}
 		if fc, ok := l.(*FC); ok {
@@ -130,11 +161,12 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 				pl.density = float64(fc.W.NNZ()) / float64(n)
 			}
 			// Each sparse layout only wins below its own density
-			// threshold; 8×8 block metadata selects BSR's.
+			// threshold on the body that runs; 8×8 block metadata
+			// selects BSR's.
 			wantBSR := cfg.Backend == BackendBSR ||
-				(cfg.Backend == BackendAuto && fc.BlockSize == 8 && pl.density <= BSRDensityThreshold)
+				(cfg.Backend == BackendAuto && fc.BlockSize == 8 && pl.density <= bsrMax)
 			wantCSR := cfg.Backend == BackendSparse ||
-				(cfg.Backend == BackendAuto && pl.density <= DefaultDensityThreshold)
+				(cfg.Backend == BackendAuto && pl.density <= csrMax)
 			switch {
 			case wantBSR:
 				block := fc.BlockSize

@@ -273,27 +273,45 @@ func BenchmarkForwardFloors(b *testing.B) {
 // BenchmarkDensityCrossover times the FC kernels on one served hidden
 // layer (80 inputs, 400 outputs) whose weights are kept at 10 % to 90 %
 // density: dense panels and SELL-4 under a random unstructured mask,
-// BSR under a random 8×8 block mask (its AVX body) and a random 4×4
-// one (its portable body). Where each sparse kernel's time crosses the
-// dense one's sets DefaultDensityThreshold and BSRDensityThreshold.
+// BSR under a random 8×8 block mask and a random 4×4 one (its portable
+// body even on AVX hosts). Each runs on the AVX bodies (avx/, AVX hosts
+// only) and on the portable Go bodies every other build runs
+// (portable/). Where each sparse kernel's time crosses the dense one's
+// sets the density thresholds of that body: DefaultDensityThreshold and
+// BSRDensityThreshold for AVX, PortableDensityThreshold and
+// PortableBSRDensityThreshold for the portable bodies.
 func BenchmarkDensityCrossover(b *testing.B) {
-	for _, pct := range []int{10, 15, 20, 25, 30, 40, 60, 80, 90} {
-		for _, k := range []struct {
-			name    string
-			backend dnn.Backend
-			mask    int // pruneRandomly's kind
-		}{{"dense", dnn.BackendDense, 1}, {"sparse", dnn.BackendSparse, 1}, {"bsr8", dnn.BackendBSR, 3}, {"bsr4", dnn.BackendBSR, 2}} {
-			rng := mat.NewRNG(int64(pct))
-			fc := dnn.NewFC("fc", 80, 400, 0.5, rng)
-			pruneRandomly(fc, rng, k.mask, float64(pct)/100)
-			ex := dnn.Compile(dnn.NewNetwork(fc), dnn.PlanConfig{Backend: k.backend}).NewExec()
-			in := make([]float64, 80)
-			rng.FillNorm(in, 0, 1)
-			b.Run(fmt.Sprintf("%s/d%02d", k.name, pct), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					ex.Logits(in)
-				}
-			})
+	bodies := []struct {
+		name string
+		run  func(func())
+	}{{"portable", portable}}
+	if mat.HasAVX() {
+		bodies = append([]struct {
+			name string
+			run  func(func())
+		}{{"avx", func(f func()) { f() }}}, bodies...)
+	}
+	for _, body := range bodies {
+		for _, pct := range []int{10, 15, 20, 25, 30, 40, 60, 80, 90} {
+			for _, k := range []struct {
+				name    string
+				backend dnn.Backend
+				mask    int // pruneRandomly's kind
+			}{{"dense", dnn.BackendDense, 1}, {"sparse", dnn.BackendSparse, 1}, {"bsr8", dnn.BackendBSR, 3}, {"bsr4", dnn.BackendBSR, 2}} {
+				rng := mat.NewRNG(int64(pct))
+				fc := dnn.NewFC("fc", 80, 400, 0.5, rng)
+				pruneRandomly(fc, rng, k.mask, float64(pct)/100)
+				ex := dnn.Compile(dnn.NewNetwork(fc), dnn.PlanConfig{Backend: k.backend}).NewExec()
+				in := make([]float64, 80)
+				rng.FillNorm(in, 0, 1)
+				body.run(func() {
+					b.Run(fmt.Sprintf("%s/%s/d%02d", body.name, k.name, pct), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							ex.Logits(in)
+						}
+					})
+				})
+			}
 		}
 	}
 }

@@ -134,53 +134,79 @@ func TestPlanBSRSurvivesPruneThenRetrain(t *testing.T) {
 	}
 }
 
-// TestDensityPolicyBoundary pins auto's density thresholds
-// (DefaultDensityThreshold, 0.2, for unstructured and 4×4-block layers
-// and BSRDensityThreshold, 0.8, for 8×8-block ones) with two models
-// pruned to either side of each: every trainable FC of the sparser
-// model must select the sparse-shaped kernel (bsr with 8×8 block
-// metadata, sparse otherwise), and every one of the denser model must
-// stay on dense.
+// TestDensityPolicyBoundary pins auto's density thresholds on both
+// kernel bodies with models pruned to either side of each: on the AVX
+// bodies DefaultDensityThreshold (0.2) for unstructured and 4×4-block
+// layers and BSRDensityThreshold (0.8) for 8×8-block ones, on the
+// portable bodies PortableDensityThreshold (0.35) and
+// PortableBSRDensityThreshold (1.0, so an 8×8-block-pruned layer takes
+// bsr at any density). Every trainable FC of a model must select the
+// kernel its side expects: the sparse-shaped one (bsr with 8×8 block
+// metadata, sparse otherwise) at or below the threshold, dense above.
+// The avx column runs on AVX hosts only; the portable one runs
+// everywhere, with the AVX bodies switched off.
 func TestDensityPolicyBoundary(t *testing.T) {
-	cases := []struct {
-		name            string
-		build           func(target float64) *dnn.Network
-		threshold       float64
-		sparser, denser float64 // pruned fractions either side of 1 - threshold
-		below           string  // kernel expected at or below the threshold
-	}{
-		{"auto_unstructured", func(f float64) *dnn.Network { return prunedNet(t, f) },
-			dnn.DefaultDensityThreshold, 0.85, 0.75, "sparse"},
-		{"auto_block", func(f float64) *dnn.Network { return blockPrunedNet(t, f, 8) },
-			dnn.BSRDensityThreshold, 0.3, 0.1, "bsr"},
-		{"auto_block4", func(f float64) *dnn.Network { return blockPrunedNet(t, f, 4) },
-			dnn.DefaultDensityThreshold, 0.85, 0.75, "sparse"},
+	type side struct {
+		target float64 // pruned fraction
+		want   string  // kernel expected on every trainable FC
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, side := range []struct {
-				target float64
-				want   string
-			}{{tc.sparser, tc.below}, {tc.denser, "dense"}} {
-				net := tc.build(side.target)
-				kernels := dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendAuto}).Kernels()
-				for i, l := range net.Layers {
-					fc, ok := l.(*dnn.FC)
-					if !ok || !fc.Trainable {
-						continue
+	type policyCase struct {
+		name      string
+		block     int // 0 = unstructured
+		threshold float64
+		sides     []side
+	}
+	bodies := []struct {
+		name  string
+		run   func(func())
+		cases []policyCase
+	}{
+		{"avx", func(f func()) { f() }, []policyCase{
+			{"auto_unstructured", 0, dnn.DefaultDensityThreshold, []side{{0.85, "sparse"}, {0.75, "dense"}}},
+			{"auto_block", 8, dnn.BSRDensityThreshold, []side{{0.3, "bsr"}, {0.1, "dense"}}},
+			{"auto_block4", 4, dnn.DefaultDensityThreshold, []side{{0.85, "sparse"}, {0.75, "dense"}}},
+		}},
+		{"portable", portable, []policyCase{
+			{"auto_unstructured", 0, dnn.PortableDensityThreshold, []side{{0.7, "sparse"}, {0.6, "dense"}}},
+			{"auto_block", 8, dnn.PortableBSRDensityThreshold, []side{{0.3, "bsr"}, {0.1, "bsr"}}},
+			{"auto_block4", 4, dnn.PortableDensityThreshold, []side{{0.7, "sparse"}, {0.6, "dense"}}},
+		}},
+	}
+	for _, body := range bodies {
+		if body.name == "avx" && !mat.HasAVX() {
+			continue
+		}
+		for _, tc := range body.cases {
+			name := tc.name // the avx column keeps the names it had alone
+			if body.name != "avx" {
+				name = body.name + "_" + tc.name
+			}
+			t.Run(name, func(t *testing.T) {
+				for _, sd := range tc.sides {
+					net := prunedNet(t, sd.target)
+					if tc.block > 0 {
+						net = blockPrunedNet(t, sd.target, tc.block)
 					}
-					density := float64(fc.W.NNZ()) / float64(fc.WeightCount())
-					if below := density <= tc.threshold; below != (side.want != "dense") {
-						t.Fatalf("p%.0f layer %s density %.3f is on the wrong side of %.3f to probe the boundary",
-							100*side.target, fc.LayerName, density, tc.threshold)
-					}
-					if kernels[i] != side.want {
-						t.Errorf("p%.0f layer %s (density %.3f): kernel %s, want %s",
-							100*side.target, fc.LayerName, density, kernels[i], side.want)
+					var kernels []string
+					body.run(func() { kernels = dnn.Compile(net, dnn.PlanConfig{Backend: dnn.BackendAuto}).Kernels() })
+					for i, l := range net.Layers {
+						fc, ok := l.(*dnn.FC)
+						if !ok || !fc.Trainable {
+							continue
+						}
+						density := float64(fc.W.NNZ()) / float64(fc.WeightCount())
+						if below := density <= tc.threshold; below != (sd.want != "dense") {
+							t.Fatalf("p%.0f layer %s density %.3f is on the wrong side of %.3f to probe the boundary",
+								100*sd.target, fc.LayerName, density, tc.threshold)
+						}
+						if kernels[i] != sd.want {
+							t.Errorf("p%.0f layer %s (density %.3f): kernel %s, want %s",
+								100*sd.target, fc.LayerName, density, kernels[i], sd.want)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
