@@ -15,11 +15,12 @@ fi
 go vet ./...
 
 # The dense panel, SELL-4 sparse and 8×8 BSR kernels, the p-norm and
-# renorm's scaling pass have AVX bodies in amd64 assembly (asmdecl
-# checks them in the vet above) and portable Go bodies everywhere
-# else: vet the packages for arm64 too, and build the whole tree
-# there, so the portable build stays checked.
-GOARCH=arm64 go vet ./internal/mat ./internal/sparse ./internal/dnn
+# renorm's scaling pass have AVX bodies in amd64 assembly, and the
+# serving frame codec an AVX2 body (asmdecl checks them in the vet
+# above); each has a portable Go body everywhere else: vet the
+# packages for arm64 too, and build the whole tree there, so the
+# portable build stays checked.
+GOARCH=arm64 go vet ./internal/mat ./internal/sparse ./internal/dnn ./internal/serve
 GOARCH=arm64 go build ./...
 
 # The test suite under the race detector. Besides the unit tests it
@@ -46,6 +47,20 @@ go test -race -count=20 -shuffle=on ./internal/serve ./internal/router .
 # (every line the server's fast path accepts, encoding/json accepts into
 # the same bits) and the refusal of NaN and ±Inf on both ends.
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 15s ./internal/serve
+
+# Base64 fuzz leg: FuzzBase64 runs both bodies of the frame codec's
+# base64 — the AVX2 one and the stdlib — against encoding/base64 on
+# any input and on encodings with a byte outside the alphabet at any
+# offset, so the vector body accepts, refuses and decodes exactly as
+# the stdlib does.
+go test -run '^$' -fuzz '^FuzzBase64$' -fuzztime 15s ./internal/serve
+
+# Request fuzz leg: FuzzRequest drives Server.handle over an in-memory
+# connection with any sequence of request lines, garbage, partial and
+# over-long lines, split into reads of any size: no panic, exactly one
+# terminal reply per admitted session, and the admission slot and
+# serve.sessions_active released.
+go test -run '^$' -fuzz '^FuzzRequest$' -fuzztime 15s ./internal/serve
 
 # Kernel fuzz leg: a bounded run of FuzzKernels, the differential
 # dense == sparse == bsr check on random shapes and masks, and on

@@ -17,9 +17,11 @@ const (
 	// a layer block-pruned in 8×8 tiles (FC.BlockSize == 8) at or below
 	// BSRDensityThreshold, the CSR sparse kernel for any other layer at
 	// or below DefaultDensityThreshold, and the dense matvec otherwise
-	// (PortableBSRDensityThreshold and PortableDensityThreshold where
-	// the portable kernel bodies run, i.e. !mat.HasAVX()). All three
-	// are bit-identical, so the choice is invisible to decode results.
+	// (where the portable kernel bodies run, i.e. !mat.HasAVX(),
+	// PortableBSRDensityThreshold and PortableDensityThreshold, and BSR
+	// also for a layer block-pruned in 4×4 tiles at or below
+	// PortableBSR4DensityThreshold). All three are bit-identical, so the
+	// choice is invisible to decode results.
 	BackendAuto Backend = "auto"
 	// BackendDense forces the dense matvec for every FC layer.
 	BackendDense Backend = "dense"
@@ -93,11 +95,17 @@ const (
 // never crosses it, still 14.9 µs against 21.7 on the unpruned layer
 // tiled 8×8. So on these bodies auto takes SELL-4 up to 35 % and BSR
 // for every 8×8-block-pruned layer. 4×4 BSR beats SELL-4 at every
-// density here too, but the rule keys BSR to 8×8 block metadata on
-// both bodies, so a 4×4-block-pruned layer keeps the CSR threshold.
+// density here too, and the dense panels up to 80 % (15.9 µs against
+// 17.7; a second run, minimum of 6, 12.4 against 15.0) but not at 90 %
+// (18.2 against 17.5; 17.0 against 17.2 in the second run, a tie on
+// this host), so a 4×4-block-pruned layer takes BSR up to
+// PortableBSR4DensityThreshold. On the AVX bodies
+// 4×4 BSR, still portable Go, loses to SELL-4 everywhere and keeps the
+// CSR rule.
 const (
-	PortableDensityThreshold    = 0.35
-	PortableBSRDensityThreshold = 1.0
+	PortableDensityThreshold     = 0.35
+	PortableBSRDensityThreshold  = 1.0
+	PortableBSR4DensityThreshold = 0.8
 )
 
 // PlanConfig controls kernel selection when compiling a plan.
@@ -149,9 +157,13 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 		cfg.Backend = BackendAuto
 	}
 	p := &Plan{inDim: net.InDim(), outDim: net.OutDim()}
-	csrMax, bsrMax := DefaultDensityThreshold, BSRDensityThreshold
+	// bsrMax maps a block-pruned layer's tile edge to the density at
+	// or below which auto runs it on BSR; any other layer takes the CSR
+	// rule.
+	csrMax, bsrMax := DefaultDensityThreshold, map[int]float64{8: BSRDensityThreshold}
 	if !mat.HasAVX() {
-		csrMax, bsrMax = PortableDensityThreshold, PortableBSRDensityThreshold
+		csrMax = PortableDensityThreshold
+		bsrMax = map[int]float64{8: PortableBSRDensityThreshold, 4: PortableBSR4DensityThreshold}
 	}
 	for _, l := range net.Layers {
 		pl := planLayer{name: l.Name(), outDim: l.OutDim(), density: 1}
@@ -161,10 +173,11 @@ func Compile(net *Network, cfg PlanConfig) *Plan {
 				pl.density = float64(fc.W.NNZ()) / float64(n)
 			}
 			// Each sparse layout only wins below its own density
-			// threshold on the body that runs; 8×8 block metadata
-			// selects BSR's.
+			// threshold on the body that runs; block metadata selects
+			// BSR's for its tile edge.
+			blockMax, blocked := bsrMax[fc.BlockSize]
 			wantBSR := cfg.Backend == BackendBSR ||
-				(cfg.Backend == BackendAuto && fc.BlockSize == 8 && pl.density <= bsrMax)
+				(cfg.Backend == BackendAuto && blocked && pl.density <= blockMax)
 			wantCSR := cfg.Backend == BackendSparse ||
 				(cfg.Backend == BackendAuto && pl.density <= csrMax)
 			switch {

@@ -138,11 +138,13 @@ func TestPlanBSRSurvivesPruneThenRetrain(t *testing.T) {
 // kernel bodies with models pruned to either side of each: on the AVX
 // bodies DefaultDensityThreshold (0.2) for unstructured and 4×4-block
 // layers and BSRDensityThreshold (0.8) for 8×8-block ones, on the
-// portable bodies PortableDensityThreshold (0.35) and
-// PortableBSRDensityThreshold (1.0, so an 8×8-block-pruned layer takes
-// bsr at any density). Every trainable FC of a model must select the
-// kernel its side expects: the sparse-shaped one (bsr with 8×8 block
-// metadata, sparse otherwise) at or below the threshold, dense above.
+// portable bodies PortableDensityThreshold (0.35) for unstructured
+// layers, PortableBSRDensityThreshold (1.0, so an 8×8-block-pruned
+// layer takes bsr at any density) and PortableBSR4DensityThreshold
+// (0.8) for 4×4-block ones. Every trainable FC of a model must select
+// the kernel its side expects: the sparse-shaped one (bsr where its
+// block metadata has a BSR threshold, sparse otherwise) at or below
+// the threshold, dense above.
 // The avx column runs on AVX hosts only; the portable one runs
 // everywhere, with the AVX bodies switched off.
 func TestDensityPolicyBoundary(t *testing.T) {
@@ -169,7 +171,7 @@ func TestDensityPolicyBoundary(t *testing.T) {
 		{"portable", portable, []policyCase{
 			{"auto_unstructured", 0, dnn.PortableDensityThreshold, []side{{0.7, "sparse"}, {0.6, "dense"}}},
 			{"auto_block", 8, dnn.PortableBSRDensityThreshold, []side{{0.3, "bsr"}, {0.1, "bsr"}}},
-			{"auto_block4", 4, dnn.PortableDensityThreshold, []side{{0.7, "sparse"}, {0.6, "dense"}}},
+			{"auto_block4", 4, dnn.PortableBSR4DensityThreshold, []side{{0.3, "bsr"}, {0.1, "dense"}}},
 		}},
 	}
 	for _, body := range bodies {

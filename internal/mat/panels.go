@@ -102,6 +102,11 @@ func (p *Panels) MatVec(dst, x []float64) {
 // one switch selects the body of every float kernel.
 func HasAVX() bool { return useAVX }
 
+// HasAVX2 reports whether the CPU also has AVX2, the 256-bit integer
+// instructions, on top of HasAVX. Integer vector bodies elsewhere (the
+// serving frame codec) select themselves on it.
+func HasAVX2() bool { return useAVX2 }
+
 // panelGo is the portable panel body: the panel's rows as two groups
 // of eight, each group one pass over x with eight add chains in
 // flight. Eight rows are 64 bytes of a column, one cache line, so each

@@ -6,6 +6,11 @@ package mat
 // across context switches.
 var useAVX = cpuHasAVX()
 
+// useAVX2 reports, through HasAVX2, that the CPU also has AVX2's
+// 256-bit integer instructions (CPUID.7.0:EBX bit 5); the OS check is
+// AVX's, which saves the same YMM state.
+var useAVX2 = useAVX && cpuHasAVX2()
+
 // panelAVX is the panel body in AVX (panels_amd64.s): per column, one
 // VBROADCASTSD of x[j], then a VMULPD and a VADDPD into each of four
 // YMM accumulators of four rows; after the columns, one VADDPD of the
@@ -28,3 +33,7 @@ func panel2AVX(w, x []float64, b, out *[2 * panelRows]float64)
 // cpuHasAVX reports CPUID.1:ECX.AVX and OSXSAVE, and XCR0 saving both
 // the SSE and the AVX state.
 func cpuHasAVX() bool
+
+// cpuHasAVX2 reports CPUID.7.0:EBX.AVX2, and false where CPUID has no
+// leaf 7.
+func cpuHasAVX2() bool

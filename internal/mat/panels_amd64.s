@@ -125,3 +125,24 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 no:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func cpuHasAVX2() bool
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	// EAX is the highest basic leaf.
+	CMPL AX, $7
+	JLT  no2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	// EBX bit 5 is AVX2.
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+
+no2:
+	MOVB $0, ret+0(FP)
+	RET

@@ -6,6 +6,9 @@ package mat
 // portable body.
 var useAVX = false
 
+// useAVX2 is false off amd64: no integer vector body runs.
+var useAVX2 = false
+
 func panelAVX(w, x []float64, b, out *[panelRows]float64) {
 	panic("mat: no AVX panel body on this architecture")
 }

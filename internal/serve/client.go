@@ -68,7 +68,7 @@ type ClientSession struct {
 	enc   *json.Encoder
 	br    *bufio.Reader
 	reply []byte // gathers a reply line longer than br's buffer
-	bits  []byte // PushFrame's f64 bits, reused
+	bits  []byte // PushFrame's f64 bits where they are copied, reused
 	line  []byte // PushFrame's encoded frame, reused
 	model string // resolved variant name from the ready reply
 }
@@ -144,11 +144,10 @@ func Dial(addr string, opts SessionOptions) (*ClientSession, error) {
 // encoding/json would write for Request{Op: OpFrame, F64: bits}; a
 // NaN or ±Inf feature is an error and nothing is sent.
 func (cs *ClientSession) PushFrame(frame []float64) error {
-	bits, err := appendBits(cs.bits[:0], frame)
+	bits, err := frameBits(&cs.bits, frame)
 	if err != nil {
 		return err
 	}
-	cs.bits = bits
 	cs.line = appendFrame(cs.line[:0], bits)
 	// Straight to the socket: send flushes bw after every message, so
 	// nothing buffered can be overtaken.

@@ -38,6 +38,7 @@ var ErrLineTooLong = errors.New("line too long")
 type session struct {
 	srv  *Server
 	conn net.Conn
+	in   *deadlineReader // conn as br reads it; holds the session deadline
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	enc  *json.Encoder
@@ -51,7 +52,28 @@ type session struct {
 	inDim    int
 	lineCap  int
 	frameCtr *obs.Counter // per-model frame counter child
-	deadline time.Time    // session deadline; zero before admission
+}
+
+// deadlineReader is a connection as its buffered reader sees it: every
+// Read arms the read deadline at the idle timeout from now or the
+// session deadline, whichever comes first, and then reads. bufio reads
+// only when its buffer is empty, so the deadline costs one clock read
+// and one SetReadDeadline per socket read rather than per line, and
+// the idle timeout counts from when the server starts waiting on the
+// socket. Lines already buffered are served without a read.
+type deadlineReader struct {
+	conn     net.Conn
+	idle     time.Duration
+	deadline time.Time // session deadline; zero before admission
+}
+
+func (r *deadlineReader) Read(p []byte) (int, error) {
+	expiry := time.Now().Add(r.idle)
+	if !r.deadline.IsZero() && r.deadline.Before(expiry) {
+		expiry = r.deadline
+	}
+	_ = r.conn.SetReadDeadline(expiry)
+	return r.conn.Read(p)
 }
 
 // connBufs recycles the read and write buffers of finished
@@ -61,24 +83,29 @@ var connBufs = sync.Pool{New: func() any {
 	return &connBuf{br: bufio.NewReader(nil), bw: bufio.NewWriter(nil)}
 }}
 
-// connBuf is one connection's buffered reader and writer.
+// connBuf is one connection's deadline reader and the buffered reader
+// over it, and its buffered writer.
 type connBuf struct {
+	in deadlineReader
 	br *bufio.Reader
 	bw *bufio.Writer
 }
 
-// takeConnBuf returns recycled buffers reset onto conn. Reset drops
-// whatever a previous connection left in them, so its unread input
-// and unflushed output never reach this one.
-func takeConnBuf(conn net.Conn) *connBuf {
+// takeConnBuf returns recycled buffers reset onto conn, reads under
+// the idle timeout idle. Reset drops whatever a previous connection
+// left in them, so its unread input and unflushed output never reach
+// this one.
+func takeConnBuf(conn net.Conn, idle time.Duration) *connBuf {
 	b := connBufs.Get().(*connBuf)
-	b.br.Reset(conn)
+	b.in = deadlineReader{conn: conn, idle: idle}
+	b.br.Reset(&b.in)
 	b.bw.Reset(conn)
 	return b
 }
 
 // put detaches the buffers from their connection and recycles them.
 func (b *connBuf) put() {
+	b.in = deadlineReader{}
 	b.br.Reset(nil)
 	b.bw.Reset(nil)
 	connBufs.Put(b)
@@ -91,11 +118,12 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.track(conn, false)
 	defer conn.Close()
 
-	buf := takeConnBuf(conn)
+	buf := takeConnBuf(conn, s.cfg.IdleTimeout)
 	defer buf.put()
 	c := &session{
 		srv:  s,
 		conn: conn,
+		in:   &buf.in,
 		br:   buf.br,
 		bw:   buf.bw,
 		enc:  json.NewEncoder(buf.bw),
@@ -179,7 +207,7 @@ func (s *Server) handle(conn net.Conn) {
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
-	c.deadline = time.Now().Add(deadline)
+	c.in.deadline = time.Now().Add(deadline)
 
 	if err := c.reply(Reply{Event: EventReady, Session: req.ID, Model: variant.Name()}); err != nil {
 		obsErrors.Inc()
@@ -263,16 +291,36 @@ func (c *session) end(final *Reply) {
 	c.srv.sessions.Done()
 }
 
-// next reads and parses the next request line. A frame in the
-// canonical shape is decoded in place into the pooled buffers; any
-// other line goes through encoding/json. A frame that arrives as bits
-// comes back with its features in Data either way.
+// next reads and parses the next request line.
 func (c *session) next() (Request, error) {
 	line, err := c.readLine(c.lineCap, &c.p.line)
 	if err != nil {
 		return Request{}, err
 	}
-	if bits, ok := parseFrame(line, c.p.bits); ok {
+	return c.request(line)
+}
+
+// request parses a request line. A frame in the canonical shape is
+// decoded without reflection into the pooled buffers; any other line
+// goes through encoding/json. A frame that arrives as bits comes back
+// with its features in Data either way.
+func (c *session) request(line []byte) (Request, error) {
+	if useAVX2 && len(line) == canonicalFrameLine(c.inDim) {
+		// The canonical line's length for this plan: decode straight
+		// into the features buffer, whose spare value holds the up to
+		// two bytes the decoder may claim beyond 8*inDim, so the bits
+		// land there (take sizes it).
+		if bits, ok := parseFrame(line, f64Bytes(c.p.data[:c.inDim+1])); ok {
+			data := c.p.data[:c.inDim]
+			if len(bits) == 8*c.inDim && finiteAVX2(data) {
+				return Request{Op: OpFrame, Data: data}, nil
+			}
+			// The length or finiteness refusal, in features' words.
+			// appendFeatures rewrites each value it reads with
+			// itself, so the aliasing is harmless.
+			return c.features(bits)
+		}
+	} else if bits, ok := parseFrame(line, c.p.bits); ok {
 		c.p.bits = bits
 		return c.features(bits)
 	}
@@ -304,20 +352,16 @@ func (c *session) features(bits []byte) (Request, error) {
 	return Request{Op: OpFrame, Data: data}, nil
 }
 
-// readLine returns the next non-blank line without its newline, under
-// the idle timeout and the session deadline, mapping their expiry to a
-// deadline error. The line is read by ReadLine under limit; the result
-// is valid until the next call.
+// readLine returns the next non-blank line without its newline. Its
+// reads run under the idle timeout and the session deadline
+// (deadlineReader), whose expiry it maps to a deadline error. The line
+// is read by ReadLine under limit; the result is valid until the next
+// call.
 func (c *session) readLine(limit int, buf *[]byte) ([]byte, error) {
-	expiry := time.Now().Add(c.srv.cfg.IdleTimeout)
-	if !c.deadline.IsZero() && c.deadline.Before(expiry) {
-		expiry = c.deadline
-	}
-	_ = c.conn.SetReadDeadline(expiry)
 	for {
 		line, err := ReadLine(c.br, limit, buf)
 		if err != nil {
-			if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
+			if deadline := c.in.deadline; !deadline.IsZero() && !time.Now().Before(deadline) {
 				return nil, context.DeadlineExceeded
 			}
 			var ne net.Error

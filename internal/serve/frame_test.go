@@ -52,6 +52,10 @@ func sameFloats(a, b []float64) bool {
 //     server's appendFeatures refuses the raw bits;
 //   - as a line: whatever parseFrame accepts, json.Unmarshal also
 //     accepts, into a Request holding the same bits and nothing else.
+//
+// Both codec bodies run every input, and the client's frameBits, which
+// aliases the features on the AVX2 body, must agree with appendBits
+// on the bits and on the error.
 func FuzzFrameCodec(f *testing.F) {
 	special := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 1e-7, 9.99999e-7, 1e20,
@@ -100,62 +104,72 @@ func FuzzFrameCodec(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		// The input as a line.
-		if bits, ok := parseFrame(in, nil); ok {
-			var req Request
-			if err := json.Unmarshal(in, &req); err != nil {
-				t.Fatalf("fast path accepted %q, encoding/json refuses it: %v", in, err)
-			}
-			if !bytes.Equal(req.F64, bits) {
-				t.Fatalf("%q: fast path %x, encoding/json %x", in, bits, req.F64)
-			}
-			req.F64 = nil
-			if fmt.Sprintf("%+v", req) != fmt.Sprintf("%+v", Request{Op: OpFrame}) {
-				t.Fatalf("%q: encoding/json decoded %+v beside the bits", in, req)
-			}
-		}
-
-		// The input as float64 bits.
-		raw := in[:len(in)/8*8]
-		x := make([]float64, len(raw)/8)
-		finite := true
-		for i := range x {
-			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-			finite = finite && !math.IsNaN(x[i]) && !math.IsInf(x[i], 0)
-		}
-		prefix := []byte("prefix")
-		got, err := appendBits(prefix, x)
-		if !finite {
-			if err == nil || len(got) != len(prefix) {
-				t.Fatalf("non-finite %v: appendBits err %v, wrote %x", x, err, got[len(prefix):])
-			}
-			if _, err := appendFeatures(nil, raw); err == nil {
-				t.Fatalf("non-finite %v: appendFeatures accepts the bits", x)
-			}
-			return
-		}
-		if err != nil || !bytes.Equal(got[len(prefix):], raw) {
-			t.Fatalf("%v: appendBits %x, %v; want %x", x, got[len(prefix):], err, raw)
-		}
-		line := appendFrame(prefix, raw)[len(prefix):]
-		want, err := json.Marshal(Request{Op: OpFrame, F64: raw})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(line, append(want, '\n')) {
-			t.Fatalf("%v:\nappendFrame %q\njson        %q", x, line, want)
-		}
-		if len(x) > 0 {
-			back, ok := parseFrame(line[:len(line)-1], nil)
-			if !ok || !bytes.Equal(back, raw) {
-				t.Fatalf("%v: encoded line does not parse back (ok %v, got %x)", x, ok, back)
-			}
-			feats, err := appendFeatures(nil, back)
-			if err != nil || !sameFloats(feats, x) {
-				t.Fatalf("%v: bits unpack to %v, %v", x, feats, err)
-			}
-		}
+		codecBodies(func(body string) { checkFrameCodec(t, body, in) })
 	})
+}
+
+// checkFrameCodec is FuzzFrameCodec's check of one input on the codec
+// body named body.
+func checkFrameCodec(t *testing.T, body string, in []byte) {
+	// The input as a line.
+	if bits, ok := parseFrame(in, nil); ok {
+		var req Request
+		if err := json.Unmarshal(in, &req); err != nil {
+			t.Fatalf("%s: fast path accepted %q, encoding/json refuses it: %v", body, in, err)
+		}
+		if !bytes.Equal(req.F64, bits) {
+			t.Fatalf("%s: %q: fast path %x, encoding/json %x", body, in, bits, req.F64)
+		}
+		req.F64 = nil
+		if fmt.Sprintf("%+v", req) != fmt.Sprintf("%+v", Request{Op: OpFrame}) {
+			t.Fatalf("%s: %q: encoding/json decoded %+v beside the bits", body, in, req)
+		}
+	}
+
+	// The input as float64 bits.
+	raw := in[:len(in)/8*8]
+	x := make([]float64, len(raw)/8)
+	finite := true
+	for i := range x {
+		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		finite = finite && !math.IsNaN(x[i]) && !math.IsInf(x[i], 0)
+	}
+	prefix := []byte("prefix")
+	got, err := appendBits(prefix, x)
+	var buf []byte
+	if fb, ferr := frameBits(&buf, x); fmt.Sprint(ferr) != fmt.Sprint(err) || (err == nil && !bytes.Equal(fb, raw)) {
+		t.Fatalf("%s: %v: frameBits %x, %v; appendBits %v", body, x, fb, ferr, err)
+	}
+	if !finite {
+		if err == nil || len(got) != len(prefix) {
+			t.Fatalf("%s: non-finite %v: appendBits err %v, wrote %x", body, x, err, got[len(prefix):])
+		}
+		if _, err := appendFeatures(nil, raw); err == nil {
+			t.Fatalf("%s: non-finite %v: appendFeatures accepts the bits", body, x)
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got[len(prefix):], raw) {
+		t.Fatalf("%s: %v: appendBits %x, %v; want %x", body, x, got[len(prefix):], err, raw)
+	}
+	line := appendFrame(prefix, raw)[len(prefix):]
+	want, err := json.Marshal(Request{Op: OpFrame, F64: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(line, append(want, '\n')) {
+		t.Fatalf("%s: %v:\nappendFrame %q\njson        %q", body, x, line, want)
+	}
+	if len(x) > 0 {
+		back, ok := parseFrame(line[:len(line)-1], nil)
+		if !ok || !bytes.Equal(back, raw) {
+			t.Fatalf("%s: %v: encoded line does not parse back (ok %v, got %x)", body, x, ok, back)
+		}
+		feats, err := appendFeatures(nil, back)
+		if err != nil || !sameFloats(feats, x) {
+			t.Fatalf("%s: %v: bits unpack to %v, %v", body, x, feats, err)
+		}
+	}
 }
 
 // replayConn is a net.Conn whose reads replay one byte stream forever
@@ -177,8 +191,10 @@ func (r *replayConn) SetReadDeadline(time.Time) error { return nil }
 
 // TestFramePathZeroAlloc is the serving path's allocation gate: once
 // warm, a whole utterance — each frame encoded by the client's
-// PushFrame, read and parsed by the server, scored on the session's
-// Exec and pushed into its decode session — allocates nothing.
+// PushFrame, read by the server through its deadline reader and
+// pooled read buffer and parsed, scored on the session's Exec and
+// pushed into its decode session — allocates nothing, on both codec
+// bodies.
 func TestFramePathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds checked without -race")
@@ -199,7 +215,10 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	}
 	v, _ := srv.Registry().Resolve("")
 	conn := &replayConn{stream: stream}
-	c := &session{srv: srv, conn: conn, br: bufio.NewReader(conn), variant: v}
+	buf := takeConnBuf(conn, time.Minute)
+	defer buf.put()
+	c := &session{srv: srv, conn: conn, in: &buf.in, br: buf.br, variant: v}
+	c.in.deadline = time.Now().Add(time.Hour)
 	c.p = srv.take(v.Plan(), srv.cfg.Decode)
 	c.inDim = v.Plan().InDim()
 	c.lineCap = frameLineCap(c.inDim)
@@ -223,11 +242,13 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	utterance()
-	utterance()
-	if allocs := testing.AllocsPerRun(5, utterance); allocs != 0 {
-		t.Errorf("warm frame path allocates %.1f times per %d-frame utterance, want 0", allocs, len(frames))
-	}
+	codecBodies(func(body string) {
+		utterance()
+		utterance()
+		if allocs := testing.AllocsPerRun(5, utterance); allocs != 0 {
+			t.Errorf("%s: warm frame path allocates %.1f times per %d-frame utterance, want 0", body, allocs, len(frames))
+		}
+	})
 }
 
 // TestOversizeLineRefused pins the bounded read path: a line with no
@@ -295,6 +316,7 @@ func TestReadLine(t *testing.T) {
 		return &session{
 			srv:  &Server{cfg: Config{IdleTimeout: time.Minute}},
 			conn: &replayConn{},
+			in:   &deadlineReader{},
 			br:   bufio.NewReaderSize(strings.NewReader(in), 16),
 		}
 	}

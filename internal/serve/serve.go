@@ -140,7 +140,7 @@ type pooled struct {
 	exec   *dnn.Exec
 	line   []byte    // gathers a request line longer than the read buffer
 	bits   []byte    // a frame's f64 bits, decoded from base64
-	data   []float64 // a frame's features, unpacked from bits
+	data   []float64 // a frame's features, unpacked from bits or decoded in place; cap ≥ InDim+1
 	scores []float64 // log-posteriors, len = plan OutDim
 }
 
@@ -305,6 +305,9 @@ func (s *Server) take(plan *dnn.Plan, dcfg decoder.Config) *pooled {
 	}
 	if p.exec == nil || p.exec.Plan() != plan {
 		p.exec = plan.NewExec()
+	}
+	if cap(p.data) < plan.InDim()+1 {
+		p.data = make([]float64, 0, plan.InDim()+1) // the spare value: session.request
 	}
 	if cap(p.scores) < plan.OutDim() {
 		p.scores = make([]float64, plan.OutDim())

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +32,7 @@ type testFixture struct {
 	utts  []*speech.Utterance
 }
 
-func newFixture(t *testing.T) *testFixture {
+func newFixture(t testing.TB) *testFixture {
 	t.Helper()
 	cfg := speech.DefaultConfig()
 	cfg.NumPhones = 5
@@ -286,7 +289,9 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestSessionDeadline pins the per-request deadline: a stalled client
-// is cut off with a deadline error event, not held forever.
+// is cut off with a deadline error event, not held forever, and so is
+// one whose frames keep arriving past the deadline — the server arms
+// the deadline on every socket read, not only on an idle one.
 func TestSessionDeadline(t *testing.T) {
 	f := newFixture(t)
 	_, addr, stop := f.start(t, nil)
@@ -307,10 +312,83 @@ func TestSessionDeadline(t *testing.T) {
 	if _, _, err := cs.Finish(); err == nil {
 		t.Fatal("session past its deadline finished successfully")
 	}
+
+	t.Run("frames_keep_arriving", func(t *testing.T) {
+		conn, br := rawSession(t, addr, Request{Op: OpStart, ID: "busy", DeadlineMS: 100})
+		defer conn.Close()
+		replies := make(chan Reply, 1)
+		go func() {
+			var rep Reply
+			line, err := br.ReadBytes('\n')
+			if err == nil {
+				err = json.Unmarshal(line, &rep)
+			}
+			if err != nil {
+				rep = Reply{Reason: err.Error()}
+			}
+			replies <- rep
+		}()
+		start := time.Now()
+		line := appendFrame(nil, floatBytes(frames[0]...))
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case rep := <-replies:
+				if rep.Event != EventError || !strings.Contains(rep.Reason, "deadline exceeded") {
+					t.Fatalf("session fed past its deadline answered %+v, want a deadline error", rep)
+				}
+				if took := time.Since(start); took < 100*time.Millisecond || took > 3*time.Second {
+					t.Fatalf("session with a 100 ms deadline cut after %v", took)
+				}
+				return
+			case <-tick.C:
+				_, _ = conn.Write(line) // fails once the server hangs up
+			}
+		}
+	})
+}
+
+// rawSession dials addr, sends start and reads the ready reply, and
+// returns the connection and a reader of the replies after it.
+func rawSession(t *testing.T, addr string, start Request) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(conn).Encode(start); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if ready, err := br.ReadString('\n'); err != nil || !strings.Contains(ready, `"event":"ready"`) {
+		t.Fatalf("not admitted: %q, %v", ready, err)
+	}
+	return conn, br
+}
+
+// readReplies reads reply lines until the connection closes.
+func readReplies(t *testing.T, br *bufio.Reader) []Reply {
+	t.Helper()
+	var reps []Reply
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			return reps
+		}
+		var rep Reply
+		if err := json.Unmarshal(line, &rep); err != nil {
+			t.Fatalf("reply %q: %v", line, err)
+		}
+		reps = append(reps, rep)
+	}
 }
 
 // TestIdleTimeout pins the idle cutoff independently of the session
-// deadline.
+// deadline: a client silent after its start, silent in the middle of a
+// line, and silent after a burst of frames the server holds in its
+// read buffer — each of which it serves first — is cut off with an
+// idle-timeout error.
 func TestIdleTimeout(t *testing.T) {
 	f := newFixture(t)
 	_, addr, stop := f.start(t, func(c *Config) {
@@ -327,6 +405,39 @@ func TestIdleTimeout(t *testing.T) {
 	if _, _, err := cs.Finish(); err == nil {
 		t.Fatal("idle session finished successfully, want idle-timeout error")
 	}
+
+	frames := speech.SpliceAll(f.utts[0].Frames, f.topo.Context)
+	idleCut := func(t *testing.T, reps []Reply) {
+		t.Helper()
+		if n := len(reps); n == 0 || reps[n-1].Event != EventError || !strings.Contains(reps[n-1].Reason, "idle timeout") {
+			t.Fatalf("silent client answered %+v, want an idle-timeout error last", reps)
+		}
+	}
+	t.Run("mid_line", func(t *testing.T) {
+		conn, br := rawSession(t, addr, Request{Op: OpStart, ID: "mid"})
+		defer conn.Close()
+		line := appendFrame(nil, floatBytes(frames[0]...))
+		if _, err := conn.Write(line[:len(line)/2]); err != nil {
+			t.Fatal(err)
+		}
+		idleCut(t, readReplies(t, br))
+	})
+	t.Run("after_burst", func(t *testing.T) {
+		conn, br := rawSession(t, addr, Request{Op: OpStart, ID: "burst", PartialEvery: len(frames)})
+		defer conn.Close()
+		var burst []byte
+		for _, fr := range frames {
+			burst = appendFrame(burst, floatBytes(fr...))
+		}
+		if _, err := conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		reps := readReplies(t, br)
+		idleCut(t, reps)
+		if len(reps) != 2 || reps[0].Event != EventPartial || reps[0].Frames != len(frames) {
+			t.Fatalf("burst of %d frames then silence answered %+v, want a partial after all of them, then the error", len(frames), reps)
+		}
+	})
 }
 
 // TestPartials checks the streaming readout: with partial_every set,
