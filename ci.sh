@@ -80,10 +80,13 @@ go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 15s ./internal/dnn
 # stamp-LRU model they replaced, hit for hit; FuzzSetAssocInsert and
 # FuzzUnboundedInsert drive each hypothesis store against a test-only
 # copy of its earlier implementation, comparing every Outcome, every
-# Each sequence and the Stats.
+# Each sequence and the Stats. FuzzIndex drives the position index the
+# token map and the unbounded store's overflow share against a Go map,
+# through growths and the epoch wraparound.
 go test -run '^$' -fuzz '^FuzzCache$' -fuzztime 15s ./internal/accel/viterbisim
 go test -run '^$' -fuzz '^FuzzSetAssocInsert$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzUnboundedInsert$' -fuzztime 15s ./internal/core
+go test -run '^$' -fuzz '^FuzzIndex$' -fuzztime 15s ./internal/core
 
 # Kernel and decode floors, each the per-series minimum of three
 # interleaved rounds: sparse >= 1.8x dense and bsr >= 1.15x sparse at

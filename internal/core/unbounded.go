@@ -20,9 +20,9 @@ import "math/bits"
 // one summary bit per nonzero bitmap word) lets Each visit live slots
 // in direct-index order, and Reset clear them, without sorting and
 // without reading every slot or bitmap word. Overflow entries live in
-// a reusable insertion-ordered slice found through an open-addressed
-// index whose slots are epoch-stamped too, so a frame that overflowed
-// heavily leaves nothing to clear. None of this changes the modelled
+// a reusable insertion-ordered slice found through an Index, whose
+// slots are epoch-stamped too, so a frame that overflowed heavily
+// leaves nothing to clear. None of this changes the modelled
 // behaviour: outcomes, statistics, and the deterministic readout order
 // (direct slots by ascending index, then the backup buffer, then
 // overflow in insertion order) are identical to the clearing
@@ -35,12 +35,12 @@ type Unbounded[P any] struct {
 
 	direct  []dmEntry[P]
 	slotOf  reducer      // hash → direct index
-	epoch   uint32       // direct[i] and ovIndex[i] live iff their stamp == epoch
+	epoch   uint32       // direct[i] live iff direct[i].stamp == epoch
 	claimed []uint64     // bit i: direct slot i claimed this epoch
 	summary []uint64     // bit w: claimed[w] != 0
 	backup  []dmEntry[P] // chained; index 0 unused (0 = nil link)
 
-	ovIndex   []ovSlot     // open-addressed, power-of-two sized, at most half full
+	ovIndex   Index        // key → position in ovEntries
 	ovEntries []ovEntry[P] // overflow in insertion order
 
 	count int
@@ -59,13 +59,6 @@ type ovEntry[P any] struct {
 	key     uint64
 	cost    float64
 	payload P
-}
-
-// ovSlot is one overflow index slot: key's position in ovEntries.
-type ovSlot struct {
-	key   uint64
-	stamp uint32
-	pos   int32
 }
 
 // UNFOLD's published configuration: 32K direct-mapped entries, 16K
@@ -98,6 +91,7 @@ func NewUnbounded[P any](directEntries, backupEntries, dramPenalty int) *Unbound
 		claimed:       make([]uint64, (directEntries+63)/64),
 		summary:       make([]uint64, (directEntries+64*64-1)/(64*64)),
 		backup:        make([]dmEntry[P], 1, 1+backupEntries),
+		ovIndex:       NewIndex(0),
 	}
 }
 
@@ -122,11 +116,9 @@ func (t *Unbounded[P]) Reset() {
 		for i := range t.direct {
 			t.direct[i].stamp = 0
 		}
-		for i := range t.ovIndex {
-			t.ovIndex[i].stamp = 0
-		}
 		t.epoch = 1
 	}
+	t.ovIndex.Reset()
 	for si, sw := range t.summary {
 		for ; sw != 0; sw &= sw - 1 {
 			t.claimed[si*64+bits.TrailingZeros64(sw)] = 0
@@ -199,12 +191,8 @@ func (t *Unbounded[P]) Insert(key uint64, cost float64, payload P) Outcome {
 	// On-chip exhausted: overflow to main memory.
 	t.stats.Overflows++
 	t.stats.Cycles += int64(t.dramPenalty)
-	if 2*(len(t.ovEntries)+1) > len(t.ovIndex) {
-		t.growOverflowIndex() // room for one more entry, kept at most half full
-	}
-	sl := t.ovFind(key, h)
-	if sl.stamp == t.epoch {
-		e := &t.ovEntries[sl.pos]
+	if pos, ok := t.ovIndex.Put(key); ok {
+		e := &t.ovEntries[pos]
 		t.stats.Recombines++
 		if cost < e.cost {
 			e.cost = cost
@@ -212,36 +200,10 @@ func (t *Unbounded[P]) Insert(key uint64, cost float64, payload P) Outcome {
 		}
 		return Recombined
 	}
-	*sl = ovSlot{key: key, stamp: t.epoch, pos: int32(len(t.ovEntries))}
 	t.ovEntries = append(t.ovEntries, ovEntry[P]{key: key, cost: cost, payload: payload})
 	t.count++
 	t.stats.Stored++
 	return Inserted
-}
-
-// ovFind returns key's overflow index slot, or the empty slot where
-// it belongs. h is hashKey(key); the probe starts from its high bits,
-// which the direct index (its low bits, or h mod a small count) leaves
-// spread out among the keys that overflow.
-func (t *Unbounded[P]) ovFind(key, h uint64) *ovSlot {
-	mask := uint64(len(t.ovIndex) - 1)
-	for i := (h >> 32) & mask; ; i = (i + 1) & mask {
-		sl := &t.ovIndex[i]
-		if sl.stamp != t.epoch || sl.key == key {
-			return sl
-		}
-	}
-}
-
-// growOverflowIndex doubles the overflow index (16 slots at first) and
-// re-enters this epoch's overflow entries. It runs only when a frame
-// overflows more than any frame before it, so a warmed store never
-// allocates here.
-func (t *Unbounded[P]) growOverflowIndex() {
-	t.ovIndex = make([]ovSlot, max(16, 2*len(t.ovIndex)))
-	for pos, e := range t.ovEntries {
-		*t.ovFind(e.key, hashKey(e.key)) = ovSlot{key: e.key, stamp: t.epoch, pos: int32(pos)}
-	}
 }
 
 // Each visits every stored hypothesis (direct, backup, overflow).

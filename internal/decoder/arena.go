@@ -104,4 +104,7 @@ type ArenaStats struct {
 	WordSlots int
 	// Bytes is the resident size of all arena chunks.
 	Bytes int64
+	// MapBytes is the resident size of the two token maps, which
+	// follows the largest live set the session has held.
+	MapBytes int
 }

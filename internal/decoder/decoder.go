@@ -88,9 +88,9 @@ type Config struct {
 	// Probe, if non-nil, observes memory traffic for simulators.
 	Probe MemoryProbe
 	// HeapAlloc disables the session's pooled allocation (token/word
-	// arenas, reusable epoch-stamped token maps) and reverts to plain
-	// heap allocation on the hot path — the pre-pooling reference
-	// behaviour. Results are bit-identical either way (pinned by
+	// arenas, the two token maps reused across frames) and reverts to
+	// plain heap allocation on the hot path — a fresh token map per
+	// frame, the pre-pooling reference behaviour. Results are bit-identical either way (pinned by
 	// tests); the flag exists as the ablation baseline the decode
 	// benchmarks and determinism guards compare against. Structural:
 	// fixed at Start, ignored by Restart.

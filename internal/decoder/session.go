@@ -46,7 +46,7 @@ type Session struct {
 	cfg   Config
 	store core.Store[*Token]
 	cur   *tokenMap
-	spare *tokenMap // double buffer: next frame's map (pooled mode)
+	spare *tokenMap // next frame's map: reused when pooled, fresh per frame with HeapAlloc
 	res   Result
 
 	// Pooled allocation state (unused when Config.HeapAlloc). tokens
@@ -83,19 +83,12 @@ func (d *Decoder) Start(cfg Config) *Session {
 		started: true,
 	}
 	if !cfg.HeapAlloc {
-		if f, ok := d.fst.(*wfst.FST); ok {
-			s.cur = newDenseTokenMap(f.NumStates())
-			s.spare = newDenseTokenMap(f.NumStates())
-		} else {
-			// lazy graph: virtual state space too large for a dense
-			// index; sparse maps still reset in place.
-			s.cur = newTokenMap(64)
-			s.spare = newTokenMap(64)
-		}
-		s.harvest = func(key uint64, cost float64, tok *Token) {
-			tok.Cost = cost // store may have recombined
-			s.spare.set(int32(key), tok)
-		}
+		s.cur, s.spare = newTokenMap(64), newTokenMap(64)
+	}
+	s.harvest = func(key uint64, cost float64, tok *Token) {
+		tok.Cost = cost // store may have recombined
+		i, _ := s.spare.claim(int32(key))
+		s.spare.live[i].tok = tok
 	}
 	s.seed()
 	return s
@@ -156,16 +149,21 @@ func (s *Session) seed() {
 		tok.Cost = 0
 		tok.Words = nil
 	}
-	s.cur.set(s.d.fst.StartState(), tok)
+	i, _ := s.cur.claim(s.d.fst.StartState())
+	s.cur.live[i].tok = tok
 }
 
 // Arena reports the session's pooled allocation state (zero when
 // Config.HeapAlloc).
 func (s *Session) Arena() ArenaStats {
+	if !s.started || s.cfg.HeapAlloc {
+		return ArenaStats{}
+	}
 	return ArenaStats{
 		TokenSlots: s.tokens[0].slots() + s.tokens[1].slots(),
 		WordSlots:  s.words.slots(),
 		Bytes:      s.tokens[0].bytes() + s.tokens[1].bytes() + s.words.bytes(),
+		MapBytes:   s.cur.bytes() + s.spare.bytes(),
 	}
 }
 
@@ -210,16 +208,11 @@ func (s *Session) PushFrame(frame []float64) error {
 	// store's own (deterministic) readout order.
 	if pooled {
 		s.spare.reset()
-		s.store.Each(s.harvest)
-		s.cur, s.spare = s.spare, s.cur
 	} else {
-		next := newTokenMap(s.store.Len())
-		s.store.Each(func(key uint64, cost float64, tok *Token) {
-			tok.Cost = cost // store may have recombined
-			next.set(int32(key), tok)
-		})
-		s.cur = next
+		s.spare = newTokenMap(s.store.Len())
 	}
+	s.store.Each(s.harvest)
+	s.cur, s.spare = s.spare, s.cur
 
 	cycles := s.store.Stats().Cycles
 	fa.StoreCycles = cycles - s.prevCycles
@@ -275,20 +268,20 @@ func (s *Session) Partial() ([]int, bool) {
 	bestCost := math.Inf(1)
 	var best *Token
 	anyFinal := false
-	snapshot.each(func(st int32, tok *Token) {
-		final := s.d.fst.IsFinal(st)
-		c := tok.Cost
+	for _, e := range snapshot.live {
+		final := s.d.fst.IsFinal(e.state)
+		c := e.tok.Cost
 		if final {
-			c += s.d.fst.FinalCost(st)
+			c += s.d.fst.FinalCost(e.state)
 		}
 		switch {
 		case final && !anyFinal:
 			anyFinal = true
-			bestCost, best = c, tok
+			bestCost, best = c, e.tok
 		case final == anyFinal && c < bestCost:
-			bestCost, best = c, tok
+			bestCost, best = c, e.tok
 		}
-	})
+	}
 	if best == nil {
 		return nil, false
 	}
@@ -312,17 +305,17 @@ func (s *Session) Finish() Result {
 	s.closure(s.cur, &fa, false, 0)
 	bestCost := math.Inf(1)
 	var bestTok *Token
-	s.cur.each(func(st int32, tok *Token) {
-		if !s.d.fst.IsFinal(st) {
-			return
+	for _, e := range s.cur.live {
+		if !s.d.fst.IsFinal(e.state) {
+			continue
 		}
-		c := tok.Cost + s.d.fst.FinalCost(st)
-		s.res.Finals = append(s.res.Finals, Hypothesis{Words: tok.Words.Decoded(), Cost: c})
+		c := e.tok.Cost + s.d.fst.FinalCost(e.state)
+		s.res.Finals = append(s.res.Finals, Hypothesis{Words: e.tok.Words.Decoded(), Cost: c})
 		if c < bestCost {
 			bestCost = c
-			bestTok = tok
+			bestTok = e.tok
 		}
-	})
+	}
 	// Documented readout order: best first, ties keeping the
 	// final-state iteration order they were collected in.
 	sort.SliceStable(s.res.Finals, func(i, j int) bool {
@@ -348,54 +341,62 @@ func (s *Session) Finish() Result {
 }
 
 // closure relaxes non-emitting arcs until costs stabilize. Costs only
-// decrease, so a work-queue relaxation terminates. The queue is seeded
-// in the token map's insertion order, keeping the relaxation — and the
-// EpsArcs count it accumulates — deterministic. Relaxation always
-// creates a fresh token (never mutates in place): Partial snapshots
-// share token pointers with the live map, and the store from the
-// previous frame still points at the harvested tokens.
+// decrease, so a work-queue relaxation terminates. The queue is a
+// stack of map positions (a relaxed state keeps its position). Each
+// token the map holds on entry, last to first, seeds it and is drained
+// before the next — the order a stack seeded with the whole map pops —
+// keeping the relaxation, and the EpsArcs count it accumulates,
+// deterministic. Relaxation always creates a fresh token (never
+// mutates in place): Partial snapshots share token pointers with the
+// live map, and the store from the previous frame still points at the
+// harvested tokens.
 //
 // pooled selects where those tokens come from: the frame-parity arena
 // (par) on the hot path, or the heap for the HeapAlloc reference mode
 // and the Partial/Finish readouts.
 func (s *Session) closure(m *tokenMap, fa *FrameActivity, pooled bool, par int) {
 	s.queue = s.queue[:0]
-	s.queue = append(s.queue, m.states...)
-	for len(s.queue) > 0 {
-		st := s.queue[len(s.queue)-1]
-		s.queue = s.queue[:len(s.queue)-1]
-		tok, _ := m.get(st)
-		for _, a := range s.d.fst.Arcs(st) {
-			if a.ILabel != wfst.Epsilon {
-				continue
-			}
-			fa.EpsArcs++
-			cost := tok.Cost + a.Weight
-			exist, ok := m.get(a.Next)
-			if ok && exist.Cost <= cost {
-				continue
-			}
-			words := tok.Words
-			if a.OLabel != wfst.Epsilon {
-				if pooled {
-					wl := s.words.alloc()
-					wl.Word = wfst.WordOf(a.OLabel)
-					wl.Prev = words
-					words = wl
-				} else {
-					words = &WordLink{Word: wfst.WordOf(a.OLabel), Prev: words}
+	for seed := m.len() - 1; seed >= 0; seed-- {
+		for p := int32(seed); ; {
+			e := m.live[p]
+			tok := e.tok
+			for _, a := range s.d.fst.Arcs(e.state) {
+				if a.ILabel != wfst.Epsilon {
+					continue
 				}
+				fa.EpsArcs++
+				cost := tok.Cost + a.Weight
+				next, ok := m.claim(a.Next)
+				if ok && m.live[next].tok.Cost <= cost {
+					continue
+				}
+				words := tok.Words
+				if a.OLabel != wfst.Epsilon {
+					if pooled {
+						wl := s.words.alloc()
+						wl.Word = wfst.WordOf(a.OLabel)
+						wl.Prev = words
+						words = wl
+					} else {
+						words = &WordLink{Word: wfst.WordOf(a.OLabel), Prev: words}
+					}
+				}
+				var nt *Token
+				if pooled {
+					nt = s.tokens[par].alloc()
+					nt.Cost = cost
+					nt.Words = words
+				} else {
+					nt = &Token{Cost: cost, Words: words}
+				}
+				m.live[next].tok = nt
+				s.queue = append(s.queue, next)
 			}
-			var nt *Token
-			if pooled {
-				nt = s.tokens[par].alloc()
-				nt.Cost = cost
-				nt.Words = words
-			} else {
-				nt = &Token{Cost: cost, Words: words}
+			if len(s.queue) == 0 {
+				break
 			}
-			m.set(a.Next, nt)
-			s.queue = append(s.queue, a.Next)
+			p = s.queue[len(s.queue)-1]
+			s.queue = s.queue[:len(s.queue)-1]
 		}
 	}
 }
@@ -410,9 +411,9 @@ func (s *Session) closure(m *tokenMap, fa *FrameActivity, pooled bool, par int) 
 func (s *Session) expand(frame []float64, fa *FrameActivity, pooled bool, par int, beam float64, maxActive int) {
 	cur := s.cur
 	best := math.Inf(1)
-	for _, tok := range cur.toks {
-		if tok.Cost < best {
-			best = tok.Cost
+	for _, e := range cur.live {
+		if e.tok.Cost < best {
+			best = e.tok.Cost
 		}
 	}
 	limit := math.Inf(1)
@@ -428,8 +429,8 @@ func (s *Session) expand(frame []float64, fa *FrameActivity, pooled bool, par in
 
 	d := s.d
 	s.store.Reset()
-	for i, st := range cur.states {
-		tok := cur.toks[i]
+	for _, e := range cur.live {
+		st, tok := e.state, e.tok
 		if tok.Cost > expandLimit {
 			continue
 		}
@@ -491,8 +492,8 @@ func (s *Session) expand(frame []float64, fa *FrameActivity, pooled bool, par in
 // session's reusable cost scratch.
 func (s *Session) maxActiveLimit(n int) float64 {
 	s.costs = s.costs[:0]
-	for _, tok := range s.cur.toks {
-		s.costs = append(s.costs, tok.Cost)
+	for _, e := range s.cur.live {
+		s.costs = append(s.costs, e.tok.Cost)
 	}
 	sort.Float64s(s.costs)
 	return s.costs[n-1]

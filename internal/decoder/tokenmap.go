@@ -1,5 +1,7 @@
 package decoder
 
+import "repro/internal/core"
+
 // tokenMap is the live-hypothesis container: state → best token, with
 // iteration in insertion order rather than Go's randomized map order.
 // Determinism is the point — the iteration order fixes the order
@@ -8,127 +10,59 @@ package decoder
 // collision/overflow counters, modelled cycles, cache behaviour). The
 // engine's parallel-equals-serial guarantee rests on this.
 //
-// Two index representations share the type, chosen at construction:
-//
-//   - dense: pos[state] holds the slot in the insertion-order arrays,
-//     valid only while stamp[state] == epoch. reset is an epoch bump —
-//     O(1), no clearing, no allocation — which is what lets a pooled
-//     Session reuse two maps for an entire utterance (and across
-//     utterances). Used for eager graphs, whose state space is known.
-//   - sparse: a Go map, cleared (buckets retained) on reset. Used for
-//     lazy compositions, whose virtual state space is too large to
-//     back with dense arrays, and for the HeapAlloc reference path,
-//     which allocates a fresh map per frame exactly like the pre-pool
-//     decoder did.
-//
-// Both iterate identically: states/toks are the insertion-order
-// arrays either way.
+// live holds the (state, token) pairs in insertion order, and idx maps
+// a state to its position there. reset is an epoch bump and a
+// truncation — no clearing, no allocation — so a pooled Session reuses
+// its two maps across frames and utterances. idx is sized by the live
+// set, not the graph, so eager graphs, lazy graphs and the HeapAlloc
+// reference path (a fresh map per frame) share this one map. One array
+// of pairs rather than two parallel ones keeps claim within the
+// inliner's budget on the closure and harvest paths.
 type tokenMap struct {
-	idx map[int32]int // sparse index (nil when dense)
+	idx  core.Index
+	live []liveToken
+}
 
-	pos   []int32  // dense index (nil when sparse)
-	stamp []uint32 // pos[s] valid iff stamp[s] == epoch
-	epoch uint32
-
-	states []int32
-	toks   []*Token
+type liveToken struct {
+	tok   *Token
+	state int32
 }
 
 func newTokenMap(capacity int) *tokenMap {
-	return &tokenMap{
-		idx:    make(map[int32]int, capacity),
-		states: make([]int32, 0, capacity),
-		toks:   make([]*Token, 0, capacity),
-	}
+	return &tokenMap{idx: core.NewIndex(capacity), live: make([]liveToken, 0, capacity)}
 }
 
-// newDenseTokenMap builds an epoch-stamped dense map over a known
-// state space. epoch starts at 1 so the zeroed stamp array marks every
-// state absent.
-func newDenseTokenMap(numStates int) *tokenMap {
-	return &tokenMap{
-		pos:   make([]int32, numStates),
-		stamp: make([]uint32, numStates),
-		epoch: 1,
+func (m *tokenMap) len() int { return len(m.live) }
+
+// claim returns s's position and true if s is live. Otherwise it
+// enters s at the end of the insertion order with a nil token, which
+// the caller fills in, and returns that position and false. A state
+// whose token is replaced keeps its position in the iteration order.
+func (m *tokenMap) claim(s int32) (i int32, ok bool) {
+	if i, ok = m.idx.Put(uint64(s)); !ok {
+		m.live = append(m.live, liveToken{state: s})
 	}
+	return i, ok
 }
 
-func (m *tokenMap) len() int { return len(m.states) }
-
-func (m *tokenMap) get(s int32) (*Token, bool) {
-	if m.pos != nil {
-		if m.stamp[s] != m.epoch {
-			return nil, false
-		}
-		return m.toks[m.pos[s]], true
-	}
-	i, ok := m.idx[s]
-	if !ok {
-		return nil, false
-	}
-	return m.toks[i], true
-}
-
-// set inserts or replaces the token for state s; a replaced state
-// keeps its original position in the iteration order.
-func (m *tokenMap) set(s int32, tok *Token) {
-	if m.pos != nil {
-		if m.stamp[s] == m.epoch {
-			m.toks[m.pos[s]] = tok
-			return
-		}
-		m.stamp[s] = m.epoch
-		m.pos[s] = int32(len(m.states))
-		m.states = append(m.states, s)
-		m.toks = append(m.toks, tok)
-		return
-	}
-	if i, ok := m.idx[s]; ok {
-		m.toks[i] = tok
-		return
-	}
-	m.idx[s] = len(m.states)
-	m.states = append(m.states, s)
-	m.toks = append(m.toks, tok)
-}
-
-// reset empties the map, retaining its backing storage: the insertion
-// arrays are truncated and the index is invalidated wholesale — an
-// epoch bump for the dense form (with a full stamp clear only on the
-// one-in-4-billion wraparound), a bucket-preserving clear for the
-// sparse form.
+// reset empties the map, retaining its backing storage.
 func (m *tokenMap) reset() {
-	m.states = m.states[:0]
-	m.toks = m.toks[:0]
-	if m.pos != nil {
-		m.epoch++
-		if m.epoch == 0 {
-			clear(m.stamp)
-			m.epoch = 1
-		}
-		return
-	}
-	clear(m.idx)
+	m.idx.Reset()
+	m.live = m.live[:0]
 }
 
-// each visits tokens in insertion order. fn must not insert into m;
-// the relaxation loops that grow the map drive their own work queue.
-func (m *tokenMap) each(fn func(s int32, tok *Token)) {
-	for i, s := range m.states {
-		fn(s, m.toks[i])
-	}
+// bytes reports the memory the map retains.
+func (m *tokenMap) bytes() int {
+	return m.idx.Bytes() + 16*cap(m.live)
 }
 
-// clone returns an independent sparse copy (used by Partial, which
-// runs a closure on a snapshot without disturbing the live search).
+// clone returns an independent copy (used by Partial, which runs a
+// closure on a snapshot without disturbing the live search).
 func (m *tokenMap) clone() *tokenMap {
-	c := &tokenMap{
-		idx:    make(map[int32]int, len(m.states)),
-		states: append([]int32(nil), m.states...),
-		toks:   append([]*Token(nil), m.toks...),
-	}
-	for i, s := range c.states {
-		c.idx[s] = i
+	c := newTokenMap(m.len())
+	for _, e := range m.live {
+		i, _ := c.claim(e.state)
+		c.live[i].tok = e.tok
 	}
 	return c
 }

@@ -120,8 +120,9 @@ func canonicalFrameLine(inDim int) int {
 // whether it did. Any other line — another op, other or reordered
 // keys, whitespace, escapes, invalid base64 — reports false, and the
 // caller hands it to encoding/json, which decides about it as it does
-// about every other message. A '\r' is refused here although the
-// base64 decoder would skip it: JSON forbids it inside a string.
+// about every other message. A '\r' or '\n' is refused here although
+// the base64 decoder would skip it: JSON forbids either inside a
+// string.
 func parseFrame(line, dst []byte) ([]byte, bool) {
 	if len(line) < len(framePrefix)+len(frameSuffix) ||
 		string(line[:len(framePrefix)]) != framePrefix ||
@@ -129,7 +130,7 @@ func parseFrame(line, dst []byte) ([]byte, bool) {
 		return dst, false
 	}
 	payload := line[len(framePrefix) : len(line)-len(frameSuffix)]
-	if bytes.IndexByte(payload, '\r') >= 0 {
+	if bytes.IndexByte(payload, '\r') >= 0 || bytes.IndexByte(payload, '\n') >= 0 {
 		return dst, false
 	}
 	bits, err := appendDecode(dst[:0], payload)

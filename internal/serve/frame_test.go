@@ -81,6 +81,8 @@ func FuzzFrameCodec(f *testing.F) {
 		`{"op":"frame","f64":"AAAAAAAA\r0D8="}`,
 		"{\"op\":\"frame\",\"f64\":\"AAAAAAAA\r0D8=\"}",
 		"{\"op\":\"frame\",\"f64\":\"AAAAAAAA0D8=\r\"}",
+		"{\"op\":\"frame\",\"f64\":\"\n\"}",
+		"{\"op\":\"frame\",\"f64\":\"000\n0\"}",
 		`{"op":"frame","f64":"AAAAAAAA\/0D8="}`,
 		`{"op":"frame","f64":"AAAAAAAA\u00410D8="}`,
 		`{"op":"frame","f64":"AAAA"AAAA0D8="}`,
